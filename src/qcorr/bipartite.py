@@ -143,26 +143,30 @@ def eof_from_concurrence(c: float) -> float:
 
 
 def _h2_vec(lam):
-    lam = np.clip(lam, 0.0, 1.0)
-    out = np.zeros_like(lam)
-    inner = (lam > 0.0) & (lam < 1.0)
-    x = lam[inner]
-    out[inner] = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-    return out
+    lam = np.minimum(np.maximum(lam, 0.0), 1.0)  # np.clip, minus its call overhead
+    # the endpoints give 0 * -inf = nan, which the mask replaces by 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -lam * np.log2(lam) - (1.0 - lam) * np.log2(1.0 - lam)
+    return np.where((lam > 0.0) & (lam < 1.0), h, 0.0)
+
+
+def _outcome_entropy(m00, m01, m10, m11):
+    """p S(m/p) of unnormalized 2x2 states m, given entry by entry."""
+    # complex sums act on real and imaginary parts apart, so only the
+    # products need complex arithmetic
+    p = m00.real + m11.real
+    det = (m00 * m11).real - (m01 * m10).real
+    disc = np.sqrt(np.maximum(p * p - 4.0 * det, 0.0))
+    safe = np.where(p > 1e-12, p, 1.0)
+    lam = (p + disc) / (2.0 * safe)
+    return np.where(p > 1e-12, p * _h2_vec(lam), 0.0)
 
 
 def _outcome_entropy_sum(conditionals):
     """Sum of p_i S(rho_i/p_i) over a batch of unnormalized 2x2 outcomes."""
-    p = (conditionals[..., 0, 0] + conditionals[..., 1, 1]).real
-    det = (
-        conditionals[..., 0, 0] * conditionals[..., 1, 1]
-        - conditionals[..., 0, 1] * conditionals[..., 1, 0]
-    ).real
-    disc = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
-    safe = np.where(p > 1e-12, p, 1.0)
-    lam = (p + disc) / (2.0 * safe)
-    terms = np.where(p > 1e-12, p * _h2_vec(lam), 0.0)
-    return terms.sum(axis=-1)
+    c = conditionals
+    return _outcome_entropy(c[..., 0, 0], c[..., 0, 1], c[..., 1, 0],
+                            c[..., 1, 1]).sum(axis=-1)
 
 
 def _conditioned_batch(matrix, slot, vectors):

@@ -34,7 +34,7 @@ from .bipartite import (
     TIE_TOL,
     MeasurementBasis,
     _min_conditional_entropy,
-    _outcome_entropy_sum,
+    _outcome_entropy,
     concurrence,
     eof_from_concurrence,
     one_to_rest_concurrence,
@@ -555,26 +555,54 @@ def find_discord_crossover(p_lo=0.0, p_hi=1.0, step=SWEEP_STEP_DEFAULT,
     return None
 
 
-def _double_conditioned_grids(rho, slot_i, slot_j, u_vecs, v_vecs):
-    """Outcome-resolved conditional states of the unmeasured qubit.
+# Contractions of the measured tensor t (axes: measured i, measured j, kept k,
+# then their column copies) with outcome vectors u on i and v on j.
+_JOINT = "ax,by,xyzXYZ,aX,bY->abzZ"
+_FIRST = "ax,xyzXyZ,aX->azZ"
+_SECOND = "by,xyzxYZ,bY->bzZ"
 
-    Returns an array of shape (len(u), len(v), 4, 2, 2): the four product
-    outcomes (u v, u v-perp, u-perp v, u-perp v-perp), each an unnormalized
-    2x2 state of the remaining party.
-    """
-    slot_k = 3 - slot_i - slot_j
-    perm = [slot_i, slot_j, slot_k]
+
+def _measured_tensor(rho, k, what):
+    """(t, rho_k): rho with axes (measured, measured, k) twice, and the state of k."""
+    rho = _as_three_party(rho, what)
+    k = str(k)
+    if k not in rho.parties:
+        raise ValidationError(f"unknown party {k!r}; have {rho.parties!r}")
+    slot_k = rho.parties.index(k)
+    perm = [x for x in range(3) if x != slot_k] + [slot_k]
     t = rho.matrix.reshape((2,) * 6).transpose(perm + [3 + p for p in perm])
-    uc, vc = u_vecs.conj(), v_vecs.conj()
-    m_uv = np.einsum("ax,by,xyzXYZ,aX,bY->abzZ", uc, vc, t, u_vecs, v_vecs,
-                     optimize=True)
-    m_u = np.einsum("ax,xyzXyZ,aX->azZ", uc, t, u_vecs, optimize=True)
-    m_v = np.einsum("by,xyzxYZ,bY->bzZ", vc, t, v_vecs, optimize=True)
-    r_k = np.einsum("xyzxyZ->zZ", t)
-    o_uvp = m_u[:, None] - m_uv
-    o_upv = m_v[None, :] - m_uv
-    o_upvp = r_k[None, None] - m_u[:, None] - m_v[None, :] + m_uv
-    return np.stack([m_uv, o_uvp, o_upv, o_upvp], axis=2)
+    return t, np.einsum("xyzxyZ->zZ", t)
+
+
+def _one_sided(spec, t, vecs, path=True):
+    """k-conditioned states after one measured party projects on vecs, (2, 2, n)."""
+    return np.einsum(spec, vecs.conj(), t, vecs, optimize=path).transpose(1, 2, 0)
+
+
+def _double_entropies(t, r_k, u_vecs, v_vecs, m_u, m_v, path=True):
+    """S(k | u on i, v on j) for every pair of u_vecs and v_vecs, (len(u), len(v)).
+
+    The conditional states of k for the four product outcomes (u v, u v-perp,
+    u-perp v, u-perp v-perp) are written as one (2, 2, 4, len(u), len(v))
+    array, so every matrix entry of every outcome is a contiguous plane. m_u
+    and m_v are the one-sided states _one_sided gives for u_vecs and v_vecs.
+    """
+    cond = np.empty((2, 2, 4, len(u_vecs), len(v_vecs)), dtype=complex)
+    m_uv = cond[:, :, 0]
+    m_uv[...] = np.einsum(_JOINT, u_vecs.conj(), v_vecs.conj(), t, u_vecs,
+                          v_vecs, optimize=path).transpose(2, 3, 0, 1)
+    m_u = m_u[..., None]
+    m_v = m_v[:, :, None, :]
+    np.subtract(m_u, m_uv, out=cond[:, :, 1])
+    np.subtract(m_v, m_uv, out=cond[:, :, 2])
+    last = cond[:, :, 3]
+    np.subtract(r_k[..., None, None], m_u, out=last)
+    last -= m_v
+    last += m_uv
+    # summed over outcomes in the order above; the grid's near-tied minima
+    # make the rounding of this sum part of the search result
+    return _outcome_entropy(cond[0, 0], cond[0, 1], cond[1, 0],
+                            cond[1, 1]).sum(axis=0)
 
 
 def _angle_vectors(thetas, phis):
@@ -592,18 +620,10 @@ def double_conditional_entropy(rho, k, bases) -> float:
     bases is a pair of MeasurementBasis for the two measured parties in
     their rho.parties order.
     """
-    rho = _as_three_party(rho, "double_conditional_entropy")
-    k = str(k)
-    if k not in rho.parties:
-        raise ValidationError(f"unknown party {k!r}; have {rho.parties!r}")
-    basis_i, basis_j = bases
-    measured = [x for x in rho.parties if x != k]
-    slot_i, slot_j = (rho.parties.index(x) for x in measured)
-    cond = _double_conditioned_grids(
-        rho, slot_i, slot_j,
-        basis_i.vector()[None, :], basis_j.vector()[None, :],
-    )
-    return float(_outcome_entropy_sum(cond)[0, 0])
+    t, r_k = _measured_tensor(rho, k, "double_conditional_entropy")
+    u, v = (basis.vector()[None, :] for basis in bases)
+    return float(_double_entropies(t, r_k, u, v, _one_sided(_FIRST, t, u),
+                                   _one_sided(_SECOND, t, v))[0, 0])
 
 
 def min_double_conditional_entropy(rho, k, grid=DOUBLE_GRID_DEFAULT,
@@ -614,41 +634,54 @@ def min_double_conditional_entropy(rho, k, grid=DOUBLE_GRID_DEFAULT,
     Four Bloch angles are scanned on a grid (grid points per angle) and the
     best point is refined with Nelder-Mead. For pure global states every
     product measurement already yields zero.
+
+    Each party's grid holds every measurement twice, as (theta, phi) and
+    with its outcomes swapped as (pi - theta, phi + pi), so the grid minimum
+    comes as mirror pairs tied to rounding. Nelder-Mead starts from the
+    first one found: the u grid is scanned in chunks of 131072 // (4 g^2)
+    rows, and a later chunk wins only when it is lower by more than TIE_TOL.
+    The chunk size and that rule therefore choose the start point and are
+    part of the returned value, not a memory setting alone.
     """
-    rho = _as_three_party(rho, "min_double_conditional_entropy")
-    k = str(k)
-    if k not in rho.parties:
-        raise ValidationError(f"unknown party {k!r}; have {rho.parties!r}")
-    measured = [x for x in rho.parties if x != k]
-    slot_i, slot_j = (rho.parties.index(x) for x in measured)
+    t, r_k = _measured_tensor(rho, k, "min_double_conditional_entropy")
     g = int(grid)
     thetas = np.linspace(0.0, math.pi, g)
     phis = np.linspace(0.0, 2.0 * math.pi, g, endpoint=False)
     th_u, ph_u, u_vecs = _angle_vectors(thetas, phis)
+    n = u_vecs.shape[0]
+    m_v = _one_sided(_SECOND, t, u_vecs)
     best = math.inf
     best_idx = (0, 0)
-    # chunk the u grid to bound the (chunk, g*g, 4, 2, 2) intermediate
-    chunk = max(1, 131072 // (u_vecs.shape[0] * 4))
-    for start in range(0, u_vecs.shape[0], chunk):
+    chunk = max(1, 131072 // (n * 4))
+    for start in range(0, n, chunk):
         u_block = u_vecs[start:start + chunk]
-        cond = _double_conditioned_grids(rho, slot_i, slot_j, u_block, u_vecs)
-        values = _outcome_entropy_sum(cond)
+        values = _double_entropies(t, r_k, u_block, u_vecs,
+                                   _one_sided(_FIRST, t, u_block), m_v)
         flat = int(values.argmin())
         v_min = float(values.reshape(-1)[flat])
         if v_min < best - TIE_TOL:
             best = v_min
-            best_idx = (start + flat // u_vecs.shape[0], flat % u_vecs.shape[0])
+            best_idx = (start + flat // n, flat % n)
     iu, iv = best_idx
     x0 = [th_u[iu], ph_u[iu], th_u[iv], ph_u[iv]]
 
+    # the objective's operand shapes never change, so plan each contraction
+    # once; these are the paths optimize=True would find on every call
+    one = u_vecs[:1]
+    joint, first, second = (
+        np.einsum_path(spec, *ops, optimize="greedy")[0]
+        for spec, ops in ((_JOINT, (one, one, t, one, one)),
+                          (_FIRST, (one, t, one)), (_SECOND, (one, t, one))))
+
     def objective(x):
-        u = np.array([math.cos(x[0] / 2.0),
-                      complex(math.cos(x[1]), math.sin(x[1])) * math.sin(x[0] / 2.0)])
-        v = np.array([math.cos(x[2] / 2.0),
-                      complex(math.cos(x[3]), math.sin(x[3])) * math.sin(x[2] / 2.0)])
-        cond = _double_conditioned_grids(rho, slot_i, slot_j,
-                                         u[None, :], v[None, :])
-        return float(_outcome_entropy_sum(cond)[0, 0])
+        u = np.array([[math.cos(x[0] / 2.0),
+                       complex(math.cos(x[1]), math.sin(x[1])) * math.sin(x[0] / 2.0)]])
+        v = np.array([[math.cos(x[2] / 2.0),
+                       complex(math.cos(x[3]), math.sin(x[3])) * math.sin(x[2] / 2.0)]])
+        return float(_double_entropies(t, r_k, u, v,
+                                       _one_sided(_FIRST, t, u, first),
+                                       _one_sided(_SECOND, t, v, second),
+                                       joint)[0, 0])
 
     from scipy.optimize import minimize  # deferred import, optimizer path only
 

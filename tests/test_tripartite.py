@@ -34,6 +34,7 @@ from qcorr import (
     ghz_state,
     haar_random_pure,
     min_double_conditional_entropy,
+    random_mixed_state,
     sweep_families,
     three_tangle,
     total_classical_mixed,
@@ -45,6 +46,33 @@ from qcorr import (
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 E_W_PAIR = 0.5500477595827576
+
+
+# repr of the two-angle search on random_mixed_state(3, seed), per kept party.
+# The grid minimum is a near-tied mirror pair and Nelder-Mead stops at
+# maxiter on seed 100, so any change in rounding can move these values;
+# they are compared with ==, not a tolerance.
+MIN_DOUBLE_REPR = {
+    (5, "a"): "0.3955191706985609",
+    (5, "b"): "0.3484206274420694",
+    (5, "c"): "0.3580173821971506",
+    (100, "a"): "0.4193195037416189",
+    (100, "b"): "0.3433283170826999",
+    (100, "c"): "0.35914838133440513",
+}
+MIXED_REPORT_100_REPR = (
+    "{'T': 1.3593268661476177, 'J': 0.7187145150075096, "
+    "'D': 0.6406123511401081, 'T2': 0.26780751191496677, "
+    "'T3': 1.091519354232651, 'J2': 0.2033996875929217, "
+    "'J3': 0.5153148274145879, 'D2': 0.0644078243220455, "
+    "'D3': 0.5762045268180626, 'tangle': None, "
+    "'pairwise_mutual': [0.26780751191496677, 0.2209813866364585, "
+    "0.13100408215327253], 'cut_mutual': [1.091519354232651, "
+    "1.1383454795111592, 1.2283227839943451], "
+    "'ordering': {'permutation': ['a', 'c', 'b'], "
+    "'sorted_mutual_infos': [0.26780751191496677, 0.2209813866364585, "
+    "0.13100408215327253]}, 'pure': False, 'method': 'optimizer'}"
+)
 
 
 def bell_with_spectator():
@@ -311,6 +339,30 @@ class TestDoubleConditional:
     def test_unknown_party(self):
         with pytest.raises(ValidationError):
             min_double_conditional_entropy(classical_ghz_mixture(), "z")
+
+    def test_mirrored_basis_swaps_outcomes_only(self):
+        # (theta, phi) and (pi - theta, phi + pi) are the same measurement
+        # with its outcomes swapped, which is why the grid minimum is tied
+        rho = random_mixed_state(3, 5)
+        angles = [(0.3, 0.0), (1.1, 2.5), (2.0, 4.0), (math.pi / 2, 5.5)]
+        fixed = MeasurementBasis(0.8, 1.9)
+        for k in rho.parties:
+            for theta, phi in angles:
+                basis = MeasurementBasis(theta, phi)
+                mirror = MeasurementBasis(math.pi - theta,
+                                          (phi + math.pi) % (2 * math.pi))
+                for pair, mirrored in (((basis, fixed), (mirror, fixed)),
+                                       ((fixed, basis), (fixed, mirror))):
+                    got = double_conditional_entropy(rho, k, pair)
+                    want = double_conditional_entropy(rho, k, mirrored)
+                    assert abs(got - want) < 1e-12
+
+    def test_min_search_is_bit_identical_to_recorded_values(self):
+        for (seed, k), want in MIN_DOUBLE_REPR.items():
+            got = min_double_conditional_entropy(random_mixed_state(3, seed), k)
+            assert repr(got) == want, (seed, k)
+        report = correlation_report(random_mixed_state(3, 100))
+        assert repr(report.to_dict()) == MIXED_REPORT_100_REPR
 
 
 class TestSweepAndCrossover:
