@@ -40,6 +40,12 @@ _SY = np.array([[0.0, -1.0], [1.0, 0.0]])  # i*sigma_y, real
 _YY = np.kron(_SY, _SY)  # sigma_y (x) sigma_y up to a global sign squared away
 
 
+def _bloch_vector(theta, phi):
+    """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, for any real angles."""
+    return np.array([math.cos(theta / 2.0),
+                     complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)])
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
     """Rank-1 projective qubit measurement parameterized by Bloch angles.
@@ -58,10 +64,7 @@ class MeasurementBasis:
             raise ValidationError(f"phi {self.phi!r} outside [0, 2*pi)")
 
     def vector(self):
-        return np.array(
-            [math.cos(self.theta / 2.0),
-             complex(math.cos(self.phi), math.sin(self.phi)) * math.sin(self.theta / 2.0)]
-        )
+        return _bloch_vector(self.theta, self.phi)
 
     def complement_vector(self):
         v = self.vector()
@@ -144,22 +147,34 @@ def eof_from_concurrence(c: float) -> float:
 
 def _h2_vec(lam):
     lam = np.minimum(np.maximum(lam, 0.0), 1.0)  # np.clip, minus its call overhead
-    # the endpoints give 0 * -inf = nan, which the mask replaces by 0
+    rest = 1.0 - lam
+    # -lam*log2(lam) - rest*log2(rest) in place; the endpoints give
+    # 0 * -inf = nan, which the mask replaces by 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = -lam * np.log2(lam) - (1.0 - lam) * np.log2(1.0 - lam)
+        h = np.log2(lam)
+        np.negative(np.multiply(h, lam, out=h), out=h)
+        tail = np.log2(rest)
+        h -= np.multiply(tail, rest, out=tail)
     return np.where((lam > 0.0) & (lam < 1.0), h, 0.0)
 
 
 def _outcome_entropy(m00, m01, m10, m11):
     """p S(m/p) of unnormalized 2x2 states m, given entry by entry."""
     # complex sums act on real and imaginary parts apart, so only the
-    # products need complex arithmetic
+    # products need complex arithmetic; the in-place steps are the IEEE
+    # operations of lam = (p + sqrt(max(p*p - 4 det, 0))) / (2 p), in order
     p = m00.real + m11.real
-    det = (m00 * m11).real - (m01 * m10).real
-    disc = np.sqrt(np.maximum(p * p - 4.0 * det, 0.0))
-    safe = np.where(p > 1e-12, p, 1.0)
-    lam = (p + disc) / (2.0 * safe)
-    return np.where(p > 1e-12, p * _h2_vec(lam), 0.0)
+    det = np.subtract((m00 * m11).real, (m01 * m10).real)
+    lam = p * p
+    lam -= np.multiply(det, 4.0, out=det)
+    np.sqrt(np.maximum(lam, 0.0, out=lam), out=lam)
+    lam += p
+    valid = p > 1e-12
+    safe = np.where(valid, p, 1.0)
+    lam /= np.multiply(safe, 2.0, out=safe)
+    h = _h2_vec(lam)
+    h *= p
+    return np.where(valid, h, 0.0)
 
 
 def _outcome_entropy_sum(conditionals):
@@ -169,21 +184,24 @@ def _outcome_entropy_sum(conditionals):
                             c[..., 1, 1]).sum(axis=-1)
 
 
-def _conditioned_batch(matrix, slot, vectors):
-    """Unnormalized post-measurement states of the unmeasured qubit.
+def _conditioner(matrix, slot):
+    """f(vectors, out): unnormalized post-measurement states of the other qubit.
 
-    vectors has shape (..., 2). Returns the conditional matrices for the
-    given outcome vectors and for their orthogonal complements, stacked on
-    a new outcome axis: shape (..., 2, 2, 2).
+    f writes the states after outcome vectors (..., 2) and after their
+    orthogonal complements on the outcome axis -3 of out, (..., 2, 2, 2).
     """
     tensor = matrix.reshape(2, 2, 2, 2)
     if slot == 1:
-        cond = np.einsum("...j,ijkl,...l->...ik", vectors.conj(), tensor, vectors)
-        marginal = np.einsum("ijkj->ik", tensor)
+        spec, marginal = "...j,ijkl,...l->...ik", np.einsum("ijkj->ik", tensor)
     else:
-        cond = np.einsum("...i,ijkl,...k->...jl", vectors.conj(), tensor, vectors)
-        marginal = np.einsum("ijil->jl", tensor)
-    return np.stack([cond, marginal - cond], axis=-3)
+        spec, marginal = "...i,ijkl,...k->...jl", np.einsum("ijil->jl", tensor)
+
+    def conditioned(vectors, out):
+        out[..., 0, :, :] = np.einsum(spec, vectors.conj(), tensor, vectors)
+        np.subtract(marginal, out[..., 0, :, :], out=out[..., 1, :, :])
+        return out
+
+    return conditioned
 
 
 def conditional_entropy_measured(
@@ -198,7 +216,8 @@ def conditional_entropy_measured(
     if measured_party is None:
         measured_party = rho_ab.parties[1]
     slot = _party_slot(rho_ab, measured_party)
-    cond = _conditioned_batch(rho_ab.matrix, slot, basis.vector())
+    cond = _conditioner(rho_ab.matrix, slot)(basis.vector(),
+                                             np.empty((2, 2, 2), dtype=complex))
     return float(_outcome_entropy_sum(cond))
 
 
@@ -229,7 +248,9 @@ def _min_conditional_entropy(rho, slot, grid, refine_iters, tol):
     vectors = np.empty((th.size, 2), dtype=complex)
     vectors[:, 0] = np.cos(th / 2.0)
     vectors[:, 1] = np.exp(1j * ph) * np.sin(th / 2.0)
-    values = _outcome_entropy_sum(_conditioned_batch(rho.matrix, slot, vectors))
+    conditioned = _conditioner(rho.matrix, slot)
+    values = _outcome_entropy_sum(
+        conditioned(vectors, np.empty((th.size, 2, 2, 2), dtype=complex)))
     best = float(values.min())
     # lexicographically smallest (theta, phi) among ties; the grid is theta-
     # major so the first tied flat index is that point
@@ -237,12 +258,10 @@ def _min_conditional_entropy(rho, slot, grid, refine_iters, tol):
     g_theta, g_phi = float(th[tie_idx]), float(ph[tie_idx])
     g_value = float(values[tie_idx])
 
+    out = np.empty((2, 2, 2), dtype=complex)
+
     def objective(x):
-        v = np.array(
-            [math.cos(x[0] / 2.0),
-             complex(math.cos(x[1]), math.sin(x[1])) * math.sin(x[0] / 2.0)]
-        )
-        return float(_outcome_entropy_sum(_conditioned_batch(rho.matrix, slot, v)))
+        return float(_outcome_entropy_sum(conditioned(_bloch_vector(x[0], x[1]), out)))
 
     from scipy.optimize import minimize  # deferred: keep closed-form paths scipy-free
 

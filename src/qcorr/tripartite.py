@@ -33,6 +33,7 @@ from .bipartite import (
     REFINE_TOL_DEFAULT,
     TIE_TOL,
     MeasurementBasis,
+    _bloch_vector,
     _min_conditional_entropy,
     _outcome_entropy,
     concurrence,
@@ -574,23 +575,21 @@ def _measured_tensor(rho, k, what):
     return t, np.einsum("xyzxyZ->zZ", t)
 
 
-def _one_sided(spec, t, vecs, path=True):
+def _one_sided(spec, t, vecs):
     """k-conditioned states after one measured party projects on vecs, (2, 2, n)."""
-    return np.einsum(spec, vecs.conj(), t, vecs, optimize=path).transpose(1, 2, 0)
+    return np.einsum(spec, vecs.conj(), t, vecs, optimize=True).transpose(1, 2, 0)
 
 
-def _double_entropies(t, r_k, u_vecs, v_vecs, m_u, m_v, path=True):
-    """S(k | u on i, v on j) for every pair of u_vecs and v_vecs, (len(u), len(v)).
+def _double_entropies(cond, r_k, m_u, m_v):
+    """S(k | u on i, v on j) for every pair of u and v vectors, (len(u), len(v)).
 
-    The conditional states of k for the four product outcomes (u v, u v-perp,
-    u-perp v, u-perp v-perp) are written as one (2, 2, 4, len(u), len(v))
-    array, so every matrix entry of every outcome is a contiguous plane. m_u
-    and m_v are the one-sided states _one_sided gives for u_vecs and v_vecs.
+    cond is a (2, 2, 4, len(u), len(v)) array that holds the joint states
+    m_uv as outcome 0 on entry; the other product outcomes (u v-perp, u-perp
+    v, u-perp v-perp) are written after it, so every matrix entry of every
+    outcome is a contiguous plane. m_u and m_v are the one-sided states
+    _one_sided gives for the u and v vectors.
     """
-    cond = np.empty((2, 2, 4, len(u_vecs), len(v_vecs)), dtype=complex)
     m_uv = cond[:, :, 0]
-    m_uv[...] = np.einsum(_JOINT, u_vecs.conj(), v_vecs.conj(), t, u_vecs,
-                          v_vecs, optimize=path).transpose(2, 3, 0, 1)
     m_u = m_u[..., None]
     m_v = m_v[:, :, None, :]
     np.subtract(m_u, m_uv, out=cond[:, :, 1])
@@ -603,6 +602,40 @@ def _double_entropies(t, r_k, u_vecs, v_vecs, m_u, m_v, path=True):
     # make the rounding of this sum part of the search result
     return _outcome_entropy(cond[0, 0], cond[0, 1], cond[1, 0],
                             cond[1, 1]).sum(axis=0)
+
+
+def _planned_double_entropy(t, r_k):
+    """f(x): S(k | product measurement at Bloch angles x = (th_i, ph_i, th_j, ph_j)).
+
+    f runs the pairwise contractions that einsum's greedy path makes for
+    _JOINT, _FIRST and _SECOND on single vectors as the same reshape,
+    transpose and matmul steps that numpy 2.4's einsum executes, on
+    permuted copies of t made once here. It therefore returns the einsum
+    result bit for bit, without einsum's per-call dispatch. Its rounding is
+    part of the searched value, like the grid's chunk size, and the repr
+    tests of double_conditional_entropy and the two-angle search pin it.
+    """
+    joint = t.transpose(1, 2, 3, 4, 5, 0).reshape(32, 2)
+    first = np.einsum("xyzXyZ->zXZx", t).reshape(8, 2)
+    second = np.einsum("xyzxYZ->zYZy", t).reshape(8, 2)
+    cond = np.empty((2, 2, 4, 1, 1), dtype=complex)
+
+    def one_sided(tensor, w, w_bar):
+        s = (tensor @ w_bar).reshape(2, 2, 2).transpose(2, 0, 1)
+        return (s.reshape(4, 2) @ w).reshape(2, 2, 1).transpose(1, 0, 2)
+
+    def entropy(x):
+        u = _bloch_vector(x[0], x[1]).reshape(2, 1)
+        v = _bloch_vector(x[2], x[3]).reshape(2, 1)
+        u_bar, v_bar = u.conj(), v.conj()
+        s = (joint @ u_bar).reshape(2, 2, 2, 2, 2).transpose(2, 3, 4, 1, 0)
+        s = (s.reshape(16, 2) @ v_bar).reshape(2, 2, 2, 2).transpose(1, 2, 3, 0)
+        s = (s.reshape(8, 2) @ u).reshape(2, 2, 2).transpose(1, 2, 0)
+        cond[:, :, 0, 0, 0] = (s.reshape(4, 2) @ v).reshape(2, 2).T
+        return float(_double_entropies(cond, r_k, one_sided(first, u, u_bar),
+                                       one_sided(second, v, v_bar))[0, 0])
+
+    return entropy
 
 
 def _angle_vectors(thetas, phis):
@@ -621,9 +654,8 @@ def double_conditional_entropy(rho, k, bases) -> float:
     their rho.parties order.
     """
     t, r_k = _measured_tensor(rho, k, "double_conditional_entropy")
-    u, v = (basis.vector()[None, :] for basis in bases)
-    return float(_double_entropies(t, r_k, u, v, _one_sided(_FIRST, t, u),
-                                   _one_sided(_SECOND, t, v))[0, 0])
+    u, v = bases
+    return _planned_double_entropy(t, r_k)((u.theta, u.phi, v.theta, v.phi))
 
 
 def min_double_conditional_entropy(rho, k, grid=DOUBLE_GRID_DEFAULT,
@@ -641,7 +673,10 @@ def min_double_conditional_entropy(rho, k, grid=DOUBLE_GRID_DEFAULT,
     first one found: the u grid is scanned in chunks of 131072 // (4 g^2)
     rows, and a later chunk wins only when it is lower by more than TIE_TOL.
     The chunk size and that rule therefore choose the start point and are
-    part of the returned value, not a memory setting alone.
+    part of the returned value, not a memory setting alone. So is the
+    rounding of the objective, _planned_double_entropy, whose matmul chain
+    reproduces einsum's greedy contraction path bit for bit; the repr tests
+    of this search pin both.
     """
     t, r_k = _measured_tensor(rho, k, "min_double_conditional_entropy")
     g = int(grid)
@@ -653,10 +688,13 @@ def min_double_conditional_entropy(rho, k, grid=DOUBLE_GRID_DEFAULT,
     best = math.inf
     best_idx = (0, 0)
     chunk = max(1, 131072 // (n * 4))
+    buf = np.empty(16 * chunk * n, dtype=complex)  # one cond block per search
     for start in range(0, n, chunk):
         u_block = u_vecs[start:start + chunk]
-        values = _double_entropies(t, r_k, u_block, u_vecs,
-                                   _one_sided(_FIRST, t, u_block), m_v)
+        cond = buf[:16 * len(u_block) * n].reshape(2, 2, 4, len(u_block), n)
+        cond[:, :, 0] = np.einsum(_JOINT, u_block.conj(), u_vecs.conj(), t, u_block,
+                                  u_vecs, optimize=True).transpose(2, 3, 0, 1)
+        values = _double_entropies(cond, r_k, _one_sided(_FIRST, t, u_block), m_v)
         flat = int(values.argmin())
         v_min = float(values.reshape(-1)[flat])
         if v_min < best - TIE_TOL:
@@ -665,27 +703,9 @@ def min_double_conditional_entropy(rho, k, grid=DOUBLE_GRID_DEFAULT,
     iu, iv = best_idx
     x0 = [th_u[iu], ph_u[iu], th_u[iv], ph_u[iv]]
 
-    # the objective's operand shapes never change, so plan each contraction
-    # once; these are the paths optimize=True would find on every call
-    one = u_vecs[:1]
-    joint, first, second = (
-        np.einsum_path(spec, *ops, optimize="greedy")[0]
-        for spec, ops in ((_JOINT, (one, one, t, one, one)),
-                          (_FIRST, (one, t, one)), (_SECOND, (one, t, one))))
-
-    def objective(x):
-        u = np.array([[math.cos(x[0] / 2.0),
-                       complex(math.cos(x[1]), math.sin(x[1])) * math.sin(x[0] / 2.0)]])
-        v = np.array([[math.cos(x[2] / 2.0),
-                       complex(math.cos(x[3]), math.sin(x[3])) * math.sin(x[2] / 2.0)]])
-        return float(_double_entropies(t, r_k, u, v,
-                                       _one_sided(_FIRST, t, u, first),
-                                       _one_sided(_SECOND, t, v, second),
-                                       joint)[0, 0])
-
     from scipy.optimize import minimize  # deferred import, optimizer path only
 
-    res = minimize(objective, x0, method="Nelder-Mead",
+    res = minimize(_planned_double_entropy(t, r_k), x0, method="Nelder-Mead",
                    options={"maxiter": int(refine_iters), "xatol": tol,
                             "fatol": tol})
     return min(best, float(res.fun))

@@ -112,6 +112,7 @@ def test_criterion_4_family_ordering_properties():
     assert worst["D3"] >= -1e-9, "GHZ family D3 must dominate W family"
 
 
+@pytest.mark.slow
 def test_criterion_5a_identity_suite_1000_samples(suite_1000):
     data, elapsed = suite_1000
     by_name = {c["name"]: c for c in data["checks"]}
@@ -125,6 +126,7 @@ def test_criterion_5a_identity_suite_1000_samples(suite_1000):
     assert elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_5b_discord_dominance_clause(suite_1000):
     data, _ = suite_1000
     check = {c["name"]: c for c in data["checks"]}["discord_dominance"]
@@ -143,6 +145,7 @@ def test_criterion_5b_discord_dominance_clause(suite_1000):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_oracle_equivalence_200_samples():
     proc, elapsed = run_cli("verify", "--samples", "200", "--oracle",
                             "--format", "json")
@@ -189,6 +192,7 @@ def test_criterion_7_three_tangle_properties():
     assert worst_spread <= 1e-8
 
 
+@pytest.mark.slow
 def test_criterion_8_pure_state_double_measurement():
     worst = 0.0
     for k in range(100):

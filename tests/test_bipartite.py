@@ -19,6 +19,7 @@ from qcorr import (
     density_of,
     discord_directional,
     eof_from_concurrence,
+    haar_random_pure,
     koashi_winter_classical,
     koashi_winter_discord,
     load_matrix,
@@ -27,6 +28,7 @@ from qcorr import (
     one_to_rest_concurrence,
     parse_matrix_json,
     partial_trace,
+    random_mixed_state,
     symmetrized_classical,
     symmetrized_discord,
     to_pure,
@@ -36,6 +38,45 @@ from qcorr import (
 H13 = math.log2(3.0) - 2.0 / 3.0
 # entanglement of formation at concurrence 2/3, i.e. h((3 + sqrt 5) / 6)
 E_W_PAIR = 0.5500477595827576
+
+
+# repr of (value, theta, phi) of classical_correlation_directional on the
+# two-party states of directional_test_state(), per measured party and grid;
+# compared with ==, because every rounding of the objective can move the
+# Nelder-Mead path.
+DIRECTIONAL_REPR = {
+    ("mixed5", "a", (60, 120)): (
+        "0.28955791831643773", "0.5811568052041907", "4.584303959937537"),
+    ("mixed5", "a", (17, 31)): (
+        "0.28955791831643773", "2.560435840059817", "1.4427113125942563"),
+    ("mixed5", "b", (60, 120)): (
+        "0.3138231198230954", "1.4334209283649617", "5.663341730410348"),
+    ("mixed5", "b", (17, 31)): (
+        "0.3138231198230954", "1.433420944394691", "5.663341724209322"),
+    ("mixed100", "b", (60, 120)): (
+        "0.06098635728287605", "0.5859549536091021", "3.0010921447418872"),
+    ("mixed100", "b", (17, 31)): (
+        "0.06098635728287605", "0.5859549765387455", "3.001092223732972"),
+    ("mixed100", "c", (60, 120)): (
+        "0.06342555536524186", "1.3109681528355406", "0.4073384690804628"),
+    ("mixed100", "c", (17, 31)): (
+        "0.06342555536524186", "1.310968305849562", "0.40733843622656185"),
+    ("pure7", "a", (60, 120)): (
+        "0.21907268990608664", "0.9623414382072568", "5.226544266962508"),
+    ("pure7", "a", (17, 31)): (
+        "0.21907268990608653", "0.9623414476555938", "5.226544274297928"),
+    ("pure7", "c", (60, 120)): (
+        "0.17854146212602678", "1.4911835550208228", "6.230600302717302"),
+    ("pure7", "c", (17, 31)): (
+        "0.17854146212602695", "1.4911835463093381", "6.2306003099548555"),
+}
+
+
+def directional_test_state(name):
+    if name == "pure7":
+        return partial_trace(density_of(haar_random_pure(3, 7)), ["a", "c"])
+    seed, keep = {"mixed5": (5, ["a", "b"]), "mixed100": (100, ["b", "c"])}[name]
+    return partial_trace(random_mixed_state(3, seed), keep)
 
 
 def bell_state():
@@ -242,6 +283,14 @@ class TestDirectionalCorrelations:
 
         with pytest.raises(InternalInvariantError):
             DirectionalResult(-1e-3, MeasurementBasis(0.0, 0.0), "optimizer")
+
+    def test_search_is_bit_identical_to_recorded_values(self):
+        for (name, party, grid), want in DIRECTIONAL_REPR.items():
+            res = classical_correlation_directional(
+                directional_test_state(name), party, grid=grid)
+            basis = res.optimal_basis
+            got = (repr(res.value), repr(basis.theta), repr(basis.phi))
+            assert got == want, (name, party, grid)
 
 
 class TestKoashiWinter:
