@@ -238,9 +238,8 @@ def _normalize_angles(theta, phi):
     return theta, phi % (2.0 * math.pi)
 
 
-def _min_conditional_entropy(rho, slot, grid, refine_iters, tol):
-    """Grid scan plus simplex refinement; returns (value, basis)."""
-    n_theta, n_phi = grid
+def _bloch_grid(n_theta, n_phi):
+    """(theta, phi, _bloch_vector) at each point of the theta-major angle grid."""
     thetas = np.linspace(0.0, math.pi, int(n_theta))
     phis = np.linspace(0.0, 2.0 * math.pi, int(n_phi), endpoint=False)
     th = np.repeat(thetas, phis.size)
@@ -248,6 +247,21 @@ def _min_conditional_entropy(rho, slot, grid, refine_iters, tol):
     vectors = np.empty((th.size, 2), dtype=complex)
     vectors[:, 0] = np.cos(th / 2.0)
     vectors[:, 1] = np.exp(1j * ph) * np.sin(th / 2.0)
+    return th, ph, vectors
+
+
+def _nelder_mead(objective, x0, refine_iters, tol):
+    """scipy's Nelder-Mead from x0, with both convergence tolerances at tol."""
+    from scipy.optimize import minimize  # deferred: keep closed-form paths scipy-free
+
+    return minimize(objective, x0, method="Nelder-Mead",
+                    options={"maxiter": int(refine_iters), "xatol": tol,
+                             "fatol": tol})
+
+
+def _min_conditional_entropy(rho, slot, grid, refine_iters, tol):
+    """Grid scan plus simplex refinement; returns (value, basis)."""
+    th, ph, vectors = _bloch_grid(*grid)
     conditioned = _conditioner(rho.matrix, slot)
     values = _outcome_entropy_sum(
         conditioned(vectors, np.empty((th.size, 2, 2, 2), dtype=complex)))
@@ -263,14 +277,7 @@ def _min_conditional_entropy(rho, slot, grid, refine_iters, tol):
     def objective(x):
         return float(_outcome_entropy_sum(conditioned(_bloch_vector(x[0], x[1]), out)))
 
-    from scipy.optimize import minimize  # deferred: keep closed-form paths scipy-free
-
-    res = minimize(
-        objective,
-        [g_theta, g_phi],
-        method="Nelder-Mead",
-        options={"maxiter": int(refine_iters), "xatol": tol, "fatol": tol},
-    )
+    res = _nelder_mead(objective, [g_theta, g_phi], refine_iters, tol)
     if res.fun < g_value - TIE_TOL:
         theta, phi = _normalize_angles(float(res.x[0]), float(res.x[1]))
         return float(res.fun), MeasurementBasis(theta, phi)

@@ -197,7 +197,7 @@ def cmd_analyze(args) -> int:
         sys.stdout.write(_json_dumps(report.to_dict()))
         return EXIT_OK
     lines = []
-    for name in ("T", "J", "D", "T2", "T3", "J2", "J3", "D2", "D3", "tangle"):
+    for name in tripartite.REPORT_FIELDS:
         lines.append(f"{name} = {_fmt(getattr(report, name))}")
     lines.append("pairwise_mutual = "
                  + ",".join(_fmt(float(x)) for x in report.pairwise_mutual))
@@ -229,38 +229,27 @@ def _sweep_rows(args):
     if args.step <= 0.0:
         raise ValidationError(f"step {args.step!r} must be positive")
     count = int(round((args.p_max - args.p_min) / args.step)) + 1
-    ps = [min(round(args.p_min + k * args.step, 12), 1.0) for k in range(count)]
+    # the last point may overshoot p_max by up to step / 2; it stops at p_max
+    ps = [min(round(args.p_min + k * args.step, 12), args.p_max)
+          for k in range(count)]
     families = (("ghz_tilde", "w_tilde") if args.family == "both"
                 else (args.family,))
     return tripartite.sweep_families(ps, families), families
 
 
 def _sweep_text(rows, fmt):
-    if fmt == "csv":
-        lines = [tripartite.CSV_HEADER]
-        for p, family, report in rows:
-            cells = [f"{p:.6f}", family]
-            for name in ("T", "J", "D", "T2", "T3", "J2", "J3", "D2", "D3",
-                         "tangle"):
-                cells.append(f"{getattr(report, name):.6f}")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = []
-        for p, family, report in rows:
-            entry = {"p": p, "family": family}
-            entry.update(report.to_dict())
-            payload.append(entry)
-        return _json_dumps(payload)
-    header = tripartite.CSV_HEADER.split(",")
-    widths = [10, 10] + [10] * 10
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for p, family, report in rows:
-        cells = [f"{p:.6f}".ljust(widths[0]), family.ljust(widths[1])]
-        for k, name in enumerate(("T", "J", "D", "T2", "T3", "J2", "J3",
-                                  "D2", "D3", "tangle")):
-            cells.append(f"{getattr(report, name):.6f}".ljust(widths[k + 2]))
-        lines.append("  ".join(cells).rstrip())
+        return _json_dumps([{"p": p, "family": family, **report.to_dict()}
+                            for p, family, report in rows])
+    table = [[f"{p:.6f}", family]
+             + [f"{getattr(report, name):.6f}" for name in tripartite.REPORT_FIELDS]
+             for p, family, report in rows]
+    if fmt == "csv":
+        lines = [tripartite.CSV_HEADER] + [",".join(cells) for cells in table]
+    else:
+        header = tripartite.CSV_HEADER.split(",")
+        lines = ["  ".join(h.ljust(10) for h in header)]
+        lines += ["  ".join(c.ljust(10) for c in cells).rstrip() for cells in table]
     return "\n".join(lines) + "\n"
 
 

@@ -33,8 +33,10 @@ from .bipartite import (
     REFINE_TOL_DEFAULT,
     TIE_TOL,
     MeasurementBasis,
+    _bloch_grid,
     _bloch_vector,
     _min_conditional_entropy,
+    _nelder_mead,
     _outcome_entropy,
     concurrence,
     eof_from_concurrence,
@@ -49,7 +51,8 @@ DOUBLE_GRID_DEFAULT = 30
 SWEEP_STEP_DEFAULT = 0.01
 CROSSOVER_TOL = 1e-4
 
-CSV_HEADER = "p,family,T,J,D,T2,T3,J2,J3,D2,D3,tangle"
+REPORT_FIELDS = ("T", "J", "D", "T2", "T3", "J2", "J3", "D2", "D3", "tangle")
+CSV_HEADER = ",".join(("p", "family") + REPORT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -106,21 +109,14 @@ class CorrelationReport:
         worst = max(abs(x) for x in checks)
         if worst > slack:
             raise InternalInvariantError(f"report decomposition off by {worst:.3e}")
-        fields = [self.T, self.J, self.D, self.T2, self.T3, self.J2, self.J3,
-                  self.D2, self.D3]
-        if self.tangle is not None:
-            fields.append(self.tangle)
-        low = min(fields)
+        values = [getattr(self, name) for name in REPORT_FIELDS]
+        low = min(x for x in values if x is not None)
         if low < -slack:
             raise InternalInvariantError(f"negative report field {low!r}")
 
     def to_dict(self):
         return {
-            "T": self.T, "J": self.J, "D": self.D,
-            "T2": self.T2, "T3": self.T3,
-            "J2": self.J2, "J3": self.J3,
-            "D2": self.D2, "D3": self.D3,
-            "tangle": self.tangle,
+            **{name: getattr(self, name) for name in REPORT_FIELDS},
             "pairwise_mutual": list(self.pairwise_mutual),
             "cut_mutual": list(self.cut_mutual),
             "ordering": {
@@ -288,35 +284,52 @@ class _ClosedForm:
     def pair_discord(self, i, j):
         return min(self.discord_dir(i, j), self.discord_dir(j, i))
 
-    def pair_classical(self, i, j):
-        # J_{i:j} = S_i - E_ik; symmetrized value is the larger direction
-        (k,) = [x for x in self.psi.labels if x not in (i, j)]
-        j_ij = self.s(i) - self.e(i, k)
-        (k2,) = [x for x in self.psi.labels if x not in (j, i)]
-        j_ji = self.s(j) - self.e(j, k2)
-        return max(j_ij, j_ji)
-
     def cut_mutual(self):
-        out = []
+        return _cut_mutual(self.abc, self.s1, self.pair_rho, self.s_rho)
+
+    # Shares of T in the canonical ordering. Only J2 is floored at zero here;
+    # the accessors and the report floor the others.
+
+    def total_classical(self):
+        _, b, c = self.abc
+        return self.s(b) + self.s(c) - self.e(b, c)
+
+    def total_discord(self):
         a, b, c = self.abc
-        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-            s_pair = von_neumann_entropy(_pair_lookup(self.pair_rho, x, y))
-            out.append(s_pair + self.s(z) - self.s_rho)
-        return tuple(out)
+        return self.s(a) + self.e(b, c)
+
+    def bipartite_classical(self):
+        _, b, c = self.abc
+        return max(0.0, self.s(b) - self.e(b, c))
+
+    def bipartite_discord(self):
+        a, b, c = self.abc
+        if min(self.cut_mutual()) > CUT_PRODUCT_TOL:
+            return self.s(a) - self.s(c) + self.e(b, c)
+        return min(self.pair_discord(i, j)
+                   for i, j in itertools.combinations(self.psi.labels, 2))
+
+    def genuine(self):
+        return self.s(self.abc[2])
+
+
+def _cut_mutual(abc, s1, pair_rho, s_rho):
+    """I(xy:z) across the cuts ab|c, ac|b and bc|a of the ordering abc."""
+    a, b, c = abc
+    return tuple(von_neumann_entropy(_pair_lookup(pair_rho, x, y)) + s1[z] - s_rho
+                 for x, y, z in ((a, b, c), (a, c, b), (b, c, a)))
 
 
 def total_classical_pure(psi) -> float:
     """J = S(rho_b) + S(rho_c) - E(rho_bc) in the canonical ordering."""
-    cf = _ClosedForm(_pure_three(psi, "total_classical_pure"))
-    _, b, c = cf.abc
-    return max(0.0, cf.s(b) + cf.s(c) - cf.e(b, c))
+    return max(0.0, _ClosedForm(_pure_three(psi, "total_classical_pure"))
+               .total_classical())
 
 
 def total_discord_pure(psi) -> float:
     """D = S(rho_a) + E(rho_bc) in the canonical ordering."""
-    cf = _ClosedForm(_pure_three(psi, "total_discord_pure"))
-    a, b, c = cf.abc
-    return max(0.0, cf.s(a) + cf.e(b, c))
+    return max(0.0, _ClosedForm(_pure_three(psi, "total_discord_pure"))
+               .total_discord())
 
 
 def bipartite_parts_pure(psi) -> tuple:
@@ -331,26 +344,17 @@ def bipartite_parts_pure(psi) -> tuple:
     disagree, and the definition wins).
     """
     cf = _ClosedForm(_pure_three(psi, "bipartite_parts_pure"))
-    a, b, c = cf.abc
-    j2 = max(0.0, cf.s(b) - cf.e(b, c))
-    if min(cf.cut_mutual()) > CUT_PRODUCT_TOL:
-        d2 = cf.s(a) - cf.s(c) + cf.e(b, c)
-    else:
-        d2 = min(cf.pair_discord(i, j)
-                 for i, j in itertools.combinations(cf.psi.labels, 2))
-    return j2, max(0.0, d2)
+    return cf.bipartite_classical(), max(0.0, cf.bipartite_discord())
 
 
 def genuine_classical(psi) -> float:
     """J3 = S(rho_c), the smallest one-qubit entropy."""
-    cf = _ClosedForm(_pure_three(psi, "genuine_classical"))
-    return cf.s(cf.abc[2])
+    return _ClosedForm(_pure_three(psi, "genuine_classical")).genuine()
 
 
 def genuine_discord(psi) -> float:
     """D3 = S(rho_c); genuine classical and quantum correlations coincide."""
-    cf = _ClosedForm(_pure_three(psi, "genuine_discord"))
-    return cf.s(cf.abc[2])
+    return _ClosedForm(_pure_three(psi, "genuine_discord")).genuine()
 
 
 def three_tangle(psi) -> float:
@@ -455,61 +459,45 @@ def _clip(x, slack=1e-9):
 
 def _report_pure(psi):
     cf = _ClosedForm(psi)
-    a, b, c = cf.abc
-    t = sum(cf.s1.values()) - cf.s_rho
-    j = cf.s(b) + cf.s(c) - cf.e(b, c)
-    d = cf.s(a) + cf.e(b, c)
-    i_sorted = cf.order.sorted_mutual_infos
-    t2 = i_sorted[0]
-    j2 = max(cf.s(b) - cf.e(b, c), 0.0)
-    if min(cf.cut_mutual()) > CUT_PRODUCT_TOL:
-        d2 = cf.s(a) - cf.s(c) + cf.e(b, c)
-    else:
-        d2 = min(cf.pair_discord(i, j2_)
-                 for i, j2_ in itertools.combinations(psi.labels, 2))
-    return CorrelationReport(
-        T=_clip(t), J=_clip(j), D=_clip(d),
-        T2=_clip(t2), T3=_clip(t - t2),
-        J2=_clip(j2), J3=_clip(j - j2),
-        D2=_clip(d2), D3=_clip(d - d2),
-        tangle=three_tangle(psi),
-        pairwise_mutual=i_sorted,
-        cut_mutual=cf.cut_mutual(),
-        ordering=cf.order,
-        pure=True,
-        method="closed-form",
-    )
+    # the cuts are computed twice: for the D2 branch and for the report field
+    return _assemble_report(sum(cf.s1.values()) - cf.s_rho, cf.total_classical(),
+                            cf.total_discord(), cf.bipartite_classical(),
+                            cf.bipartite_discord(), cf.order, cf.cut_mutual(),
+                            three_tangle(psi))
 
 
 def _report_mixed(rho, grid, refine_iters, tol):
-    s1, pair_rho, pair_i = _entropies_and_pairs(rho)
+    s1, pair_rho, _ = _entropies_and_pairs(rho)
     order = canonical_ordering(rho)
     t = total_information(rho)
-    j = total_classical_mixed(rho, grid=grid, refine_iters=refine_iters, tol=tol)
-    d = t - j
     kwargs = dict(grid=grid, refine_iters=refine_iters, tol=tol)
+    j = total_classical_mixed(rho, **kwargs)
     j2 = max(symmetrized_classical(red, **kwargs) for red in pair_rho.values())
     d2 = min(symmetrized_discord(red, **kwargs) for red in pair_rho.values())
-    i_sorted = order.sorted_mutual_infos
-    t2 = i_sorted[0]
-    a, b, c = order.permutation
-    cut = []
-    s_rho = von_neumann_entropy(rho)
-    for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-        s_pair = von_neumann_entropy(_pair_lookup(pair_rho, x, y))
-        cut.append(s_pair + s1[z] - s_rho)
-    soft = 1e-6  # optimizer noise budget; closed forms keep the 1e-9 default
+    cut = _cut_mutual(order.permutation, s1, pair_rho, von_neumann_entropy(rho))
+    return _assemble_report(t, j, t - j, j2, d2, order, cut, None)
+
+
+def _assemble_report(t, j, d, j2, d2, order, cut, tangle):
+    """The report of T = J + D and its bipartite and genuine shares.
+
+    tangle is None on the optimizer path, whose J and D shares may dip below
+    zero by the 1e-6 optimizer noise budget instead of the closed forms' 1e-9.
+    """
+    pure = tangle is not None
+    soft = 1e-9 if pure else 1e-6
+    t2 = order.sorted_mutual_infos[0]
     return CorrelationReport(
         T=_clip(t), J=_clip(j, soft), D=_clip(d, soft),
         T2=_clip(t2), T3=_clip(t - t2),
         J2=_clip(j2, soft), J3=_clip(j - j2, soft),
         D2=_clip(d2, soft), D3=_clip(d - d2, soft),
-        tangle=None,
-        pairwise_mutual=i_sorted,
-        cut_mutual=tuple(cut),
+        tangle=tangle,
+        pairwise_mutual=order.sorted_mutual_infos,
+        cut_mutual=cut,
         ordering=order,
-        pure=False,
-        method="optimizer",
+        pure=pure,
+        method="closed-form" if pure else "optimizer",
     )
 
 
@@ -539,7 +527,8 @@ def find_discord_crossover(p_lo=0.0, p_hi=1.0, step=SWEEP_STEP_DEFAULT,
         return (total_discord_pure(family_w_tilde(p))
                 - total_discord_pure(family_ghz_tilde(p)))
 
-    grid = np.arange(p_lo, p_hi + step / 2.0, step)
+    # the last step may overshoot p_hi by up to step / 2; it stops at p_hi
+    grid = np.minimum(np.arange(p_lo, p_hi + step / 2.0, step), p_hi)
     previous = None
     for p in grid:
         g = gap(float(p))
@@ -638,15 +627,6 @@ def _planned_double_entropy(t, r_k):
     return entropy
 
 
-def _angle_vectors(thetas, phis):
-    th = np.repeat(thetas, phis.size)
-    ph = np.tile(phis, thetas.size)
-    vecs = np.empty((th.size, 2), dtype=complex)
-    vecs[:, 0] = np.cos(th / 2.0)
-    vecs[:, 1] = np.exp(1j * ph) * np.sin(th / 2.0)
-    return th, ph, vecs
-
-
 def double_conditional_entropy(rho, k, bases) -> float:
     """S(rho_k | product measurements on the other two parties).
 
@@ -679,10 +659,7 @@ def min_double_conditional_entropy(rho, k, grid=DOUBLE_GRID_DEFAULT,
     of this search pin both.
     """
     t, r_k = _measured_tensor(rho, k, "min_double_conditional_entropy")
-    g = int(grid)
-    thetas = np.linspace(0.0, math.pi, g)
-    phis = np.linspace(0.0, 2.0 * math.pi, g, endpoint=False)
-    th_u, ph_u, u_vecs = _angle_vectors(thetas, phis)
+    th_u, ph_u, u_vecs = _bloch_grid(grid, grid)
     n = u_vecs.shape[0]
     m_v = _one_sided(_SECOND, t, u_vecs)
     best = math.inf
@@ -702,12 +679,7 @@ def min_double_conditional_entropy(rho, k, grid=DOUBLE_GRID_DEFAULT,
             best_idx = (start + flat // n, flat % n)
     iu, iv = best_idx
     x0 = [th_u[iu], ph_u[iu], th_u[iv], ph_u[iv]]
-
-    from scipy.optimize import minimize  # deferred import, optimizer path only
-
-    res = minimize(_planned_double_entropy(t, r_k), x0, method="Nelder-Mead",
-                   options={"maxiter": int(refine_iters), "xatol": tol,
-                            "fatol": tol})
+    res = _nelder_mead(_planned_double_entropy(t, r_k), x0, refine_iters, tol)
     return min(best, float(res.fun))
 
 
@@ -758,21 +730,20 @@ def genuine_total_n(psi) -> float:
     """Smallest bipartite mutual information over all 2^(n-1)-1 cuts."""
     psi = _pure_n(psi, "genuine_total_n")
     rho = density_of(psi)
-    labels = psi.labels
     s_rho = von_neumann_entropy(rho)
-    best = math.inf
+    best = min(von_neumann_entropy(partial_trace(rho, part))
+               + von_neumann_entropy(partial_trace(rho, comp)) - s_rho
+               for part, comp in _bipartitions(psi.labels))
+    return max(0.0, best)
+
+
+def _bipartitions(labels):
+    """Each cut of labels into two nonempty sides once: (side with labels[0], rest)."""
     rest = labels[1:]
-    for r in range(len(rest) + 1):
+    for r in range(len(rest)):
         for combo in itertools.combinations(rest, r):
             part = (labels[0],) + combo
-            if len(part) == len(labels):
-                continue
-            comp = [x for x in labels if x not in part]
-            value = (von_neumann_entropy(partial_trace(rho, part))
-                     + von_neumann_entropy(partial_trace(rho, comp))
-                     - s_rho)
-            best = min(best, value)
-    return max(0.0, best)
+            yield part, [x for x in labels if x not in part]
 
 
 def genuine_qc_n(psi) -> float:

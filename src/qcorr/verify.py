@@ -43,6 +43,8 @@ from .bipartite import (
     one_to_rest_concurrence,
 )
 from .tripartite import (
+    REPORT_FIELDS,
+    _bipartitions,
     correlation_report,
     genuine_total,
     genuine_total_via_relative_entropy,
@@ -175,7 +177,12 @@ N_PARTY_CHECKS = (
     ("numerics", 0.0),
 )
 
-_REPORT_FIELDS = ("T", "J", "D", "T2", "T3", "J2", "J3", "D2", "D3", "tangle")
+ORACLE_CHECKS = (
+    ("oracle_classical", ORACLE_TOL),
+    ("oracle_discord", ORACLE_TOL),
+    ("optimizer_beats_closed_form", ORACLE_TOL),
+    ("numerics", 0.0),
+)
 
 
 def _haar_local_unitary(rng):
@@ -276,7 +283,7 @@ def evaluate_sample(psi: PureState, seed_for_sample: int) -> dict:
 
     margins["entropy_ordering_consistency"] = max(s[b] - s[a], s[c] - s[b])
 
-    fields = [getattr(report, f) for f in _REPORT_FIELDS]
+    fields = [getattr(report, f) for f in REPORT_FIELDS]
     margins["report_nonnegative"] = -min(fields)
 
     rng = np.random.default_rng(seed_for_sample)
@@ -286,7 +293,7 @@ def evaluate_sample(psi: PureState, seed_for_sample: int) -> dict:
     rotated_report = correlation_report(rotated)
     margins["local_unitary_invariance"] = max(
         abs(getattr(report, f) - getattr(rotated_report, f))
-        for f in _REPORT_FIELDS
+        for f in REPORT_FIELDS
     )
 
     return {"report": report, "margins": margins}
@@ -295,31 +302,60 @@ def evaluate_sample(psi: PureState, seed_for_sample: int) -> dict:
 def _evaluate_sample_n(psi: PureState) -> dict:
     """Margins of the n>3 checks: bipartition entropies and T_n consistency."""
     rho = density_of(psi)
-    labels = psi.labels
     s_rho = von_neumann_entropy(rho)
     sym_gaps = []
     min_cut = math.inf
     min_half = math.inf
-    rest = labels[1:]
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            part = (labels[0],) + combo
-            if len(part) == len(labels):
-                continue
-            comp = [x for x in labels if x not in part]
-            s_part = von_neumann_entropy(partial_trace(rho, part))
-            s_comp = von_neumann_entropy(partial_trace(rho, comp))
-            sym_gaps.append(abs(s_part - s_comp))
-            min_cut = min(min_cut, s_part + s_comp - s_rho)
-            min_half = min(min_half, s_part)
+    for part, comp in _bipartitions(psi.labels):
+        s_part = von_neumann_entropy(partial_trace(rho, part))
+        s_comp = von_neumann_entropy(partial_trace(rho, comp))
+        sym_gaps.append(abs(s_part - s_comp))
+        min_cut = min(min_cut, s_part + s_comp - s_rho)
+        min_half = min(min_half, s_part)
     t_n = genuine_total_n(psi)
     return {
-        "margins": {
-            "bipartition_entropy_symmetry": max(sym_gaps),
-            "genuine_total_n_consistency": abs(t_n - 2.0 * min_half),
-            "genuine_total_n_nonnegative": -min(t_n, min_cut),
-        }
+        "bipartition_entropy_symmetry": max(sym_gaps),
+        "genuine_total_n_consistency": abs(t_n - 2.0 * min_half),
+        "genuine_total_n_nonnegative": -min(t_n, min_cut),
     }
+
+
+def _sample_count(n_samples):
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ValidationError(f"n_samples {n_samples!r} < 1")
+    return n_samples
+
+
+def _run_samples(checks, margins_of, n_samples, seed, n_qubits, states):
+    """Aggregate margins_of(psi, sub_seed) -> {check: margin} over the samples.
+
+    Sample i is states[i] while states last, else the Haar state of its
+    sub-seed. A sample whose margins_of raises counts as one numerics
+    violation and adds to no other check.
+    """
+    started = time.monotonic()
+    acc = {name: _Accumulator(name, tol) for name, tol in checks}
+    for index in range(n_samples):
+        s_i = sub_seed(seed, index)
+        if states is not None and index < len(states):
+            psi = states[index]
+        else:
+            psi = haar_random_pure(n_qubits, s_i)
+        try:
+            margins = margins_of(psi, s_i)
+        except Exception:
+            acc["numerics"].add(1.0, s_i)
+            continue
+        acc["numerics"].add(0.0, s_i)
+        for name, margin in margins.items():
+            acc[name].add(margin, s_i)
+    return ViolationReport(
+        seed=int(seed),
+        n_samples=n_samples,
+        checks=tuple(acc[name].finalize() for name, _ in checks),
+        elapsed=time.monotonic() - started,
+    )
 
 
 def run_suite(n_samples: int, seed: int, n_qubits: int = 3,
@@ -330,39 +366,16 @@ def run_suite(n_samples: int, seed: int, n_qubits: int = 3,
     the first len(states) samples (used to pin known states into the run).
     Deterministic for fixed arguments.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValidationError(f"n_samples {n_samples!r} < 1")
+    n_samples = _sample_count(n_samples)
     n_qubits = int(n_qubits)
     if not 3 <= n_qubits <= 6:
         raise ValidationError(f"n_qubits {n_qubits!r} outside 3..6")
-    started = time.monotonic()
-    names = THREE_QUBIT_CHECKS if n_qubits == 3 else N_PARTY_CHECKS
-    acc = {name: _Accumulator(name, tol) for name, tol in names}
-    for index in range(n_samples):
-        s_i = sub_seed(seed, index)
-        if states is not None and index < len(states):
-            psi = states[index]
-        else:
-            psi = haar_random_pure(n_qubits, s_i)
-        try:
-            if n_qubits == 3:
-                outcome = evaluate_sample(psi, s_i)
-            else:
-                outcome = _evaluate_sample_n(psi)
-        except Exception:
-            acc["numerics"].add(1.0, s_i)
-            continue
-        acc["numerics"].add(0.0, s_i)
-        for name, margin in outcome["margins"].items():
-            acc[name].add(margin, s_i)
-    checks = tuple(acc[name].finalize() for name, _ in names)
-    return ViolationReport(
-        seed=int(seed),
-        n_samples=n_samples,
-        checks=checks,
-        elapsed=time.monotonic() - started,
-    )
+    if n_qubits == 3:
+        return _run_samples(THREE_QUBIT_CHECKS,
+                            lambda psi, s: evaluate_sample(psi, s)["margins"],
+                            n_samples, seed, n_qubits, states)
+    return _run_samples(N_PARTY_CHECKS, lambda psi, s: _evaluate_sample_n(psi),
+                        n_samples, seed, n_qubits, states)
 
 
 def oracle_crosscheck(n_samples: int, seed: int, states=None,
@@ -376,56 +389,29 @@ def oracle_crosscheck(n_samples: int, seed: int, states=None,
     correlation and discord are compared with the conditional-entropy
     closed forms; a gap above 1e-3 counts as a violation.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValidationError(f"n_samples {n_samples!r} < 1")
-    started = time.monotonic()
-    acc = {
-        "oracle_classical": _Accumulator("oracle_classical", ORACLE_TOL),
-        "oracle_discord": _Accumulator("oracle_discord", ORACLE_TOL),
-        "optimizer_beats_closed_form": _Accumulator(
-            "optimizer_beats_closed_form", ORACLE_TOL
-        ),
-        "numerics": _Accumulator("numerics", 0.0),
-    }
-    for index in range(n_samples):
-        s_i = sub_seed(seed, index)
-        if states is not None and index < len(states):
-            psi = states[index]
-        else:
-            psi = haar_random_pure(3, s_i)
-        try:
-            rho = density_of(psi)
-            worst_j = 0.0
-            worst_d = 0.0
-            worst_beat = -math.inf
-            for i, j in itertools.permutations(psi.labels, 2):
-                red = partial_trace(rho, [i, j])
-                direct = classical_correlation_directional(
-                    red, j, grid=grid, refine_iters=refine_iters, tol=tol
-                )
-                j_closed = koashi_winter_classical(psi, i, j)
-                d_opt = mutual_information(red) - direct.value
-                d_closed = koashi_winter_discord(psi, i, j)
-                worst_j = max(worst_j, abs(direct.value - j_closed))
-                worst_d = max(worst_d, abs(d_opt - d_closed))
-                # projective measurements are a POVM subset, so the optimizer
-                # exceeding the closed form signals a bug, not a property
-                worst_beat = max(worst_beat, direct.value - j_closed)
-        except Exception:
-            acc["numerics"].add(1.0, s_i)
-            continue
-        acc["numerics"].add(0.0, s_i)
-        acc["oracle_classical"].add(worst_j, s_i)
-        acc["oracle_discord"].add(worst_d, s_i)
-        acc["optimizer_beats_closed_form"].add(worst_beat, s_i)
-    checks = tuple(a.finalize() for a in acc.values())
-    return ViolationReport(
-        seed=int(seed),
-        n_samples=n_samples,
-        checks=checks,
-        elapsed=time.monotonic() - started,
-    )
+    def margins_of(psi, _):
+        rho = density_of(psi)
+        worst_j = 0.0
+        worst_d = 0.0
+        worst_beat = -math.inf
+        for i, j in itertools.permutations(psi.labels, 2):
+            red = partial_trace(rho, [i, j])
+            direct = classical_correlation_directional(
+                red, j, grid=grid, refine_iters=refine_iters, tol=tol
+            )
+            j_closed = koashi_winter_classical(psi, i, j)
+            d_opt = mutual_information(red) - direct.value
+            d_closed = koashi_winter_discord(psi, i, j)
+            worst_j = max(worst_j, abs(direct.value - j_closed))
+            worst_d = max(worst_d, abs(d_opt - d_closed))
+            # projective measurements are a POVM subset, so the optimizer
+            # exceeding the closed form signals a bug, not a property
+            worst_beat = max(worst_beat, direct.value - j_closed)
+        return {"oracle_classical": worst_j, "oracle_discord": worst_d,
+                "optimizer_beats_closed_form": worst_beat}
+
+    return _run_samples(ORACLE_CHECKS, margins_of, _sample_count(n_samples),
+                        seed, 3, states)
 
 
 def explore_pairwise_order_n(n_samples: int, seed: int,
@@ -436,9 +422,7 @@ def explore_pairwise_order_n(n_samples: int, seed: int,
     also sorts every pairwise mutual information the way it does for three
     qubits. Returns counts only; nothing here is a violation.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValidationError(f"n_samples {n_samples!r} < 1")
+    n_samples = _sample_count(n_samples)
     n_qubits = int(n_qubits)
     if not 4 <= n_qubits <= 6:
         raise ValidationError(f"n_qubits {n_qubits!r} outside 4..6")

@@ -8,6 +8,7 @@ import pytest
 
 from qcorr import (
     density_of,
+    find_discord_crossover,
     ghz_state,
     load_matrix,
     matrix_to_json,
@@ -220,6 +221,17 @@ class TestSweep:
         assert code == 0
         ps = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert ps == ["0.900000", "0.950000", "1.000000"]
+
+    def test_rows_and_crossover_stay_in_range(self, capsys):
+        # 0.7 / 0.4 rounds up to two steps, whose end 0.8 lies past p_max; the
+        # crossover near 0.749 lies past it too
+        code, out, err = run_main(capsys, "sweep", "both", "0", "0.7", "0.4")
+        assert code == 0
+        ps = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert ps == ["0.000000", "0.400000", "0.700000"] * 2
+        assert "no discord crossover in range" in err
+        assert find_discord_crossover(0.0, 0.7, 0.4) is None
+        assert 0.749 < find_discord_crossover(0.0, 0.76, 0.4) <= 0.76
 
     def test_range_validation(self, capsys):
         code, _, err = run_main(capsys, "sweep", "both", "0.8", "0.2", "0.1")

@@ -43,6 +43,7 @@ from qcorr import (
     total_information,
     w_state,
 )
+from qcorr.tripartite import CUT_PRODUCT_TOL
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 E_W_PAIR = 0.5500477595827576
@@ -72,6 +73,86 @@ MIXED_REPORT_100_REPR = (
     "'ordering': {'permutation': ['a', 'c', 'b'], "
     "'sorted_mutual_infos': [0.26780751191496677, 0.2209813866364585, "
     "0.13100408215327253]}, 'pure': False, 'method': 'optimizer'}"
+)
+
+# repr of correlation_report(psi).to_dict() and of the pure accessors
+# (total_classical_pure, total_discord_pure, bipartite_parts_pure,
+# genuine_classical, genuine_discord) on haar_random_pure(3, seed) and
+# on bell_with_spectator(), whose product cut takes the degenerate D2
+# branch; compared with ==.
+PURE_REPR = {
+    3: (
+        "{'T': 2.0019705968514514, 'J': 1.2815875849948608, "
+        "'D': 0.7203830118565996, 'T2': 0.7158562399823808, "
+        "'T3': 1.2861143568690707, 'J2': 0.6385304065603212, "
+        "'J3': 0.6430571784345396, 'D2': 0.07732583342206018, "
+        "'D3': 0.6430571784345394, 'tangle': 0.49306923980038925, "
+        "'pairwise_mutual': [0.7158562399823808, 0.6713582697398073, "
+        "0.6147560871292613], 'cut_mutual': [1.2861143568690707, "
+        "1.330612327111644, 1.38721450972219], "
+        "'ordering': {'permutation': ['a', 'b', 'c'], "
+        "'sorted_mutual_infos': [0.7158562399823808, 0.6713582697398073, "
+        "0.6147560871292613]}, 'pure': True, 'method': 'closed-form'}",
+        "(1.2815875849948608, 0.7203830118565996, (0.6385304065603212, "
+        "0.07732583342206018), 0.6430571784345394, 0.6430571784345394)",
+    ),
+    17: (
+        "{'T': 2.3505127497346754, 'J': 1.3340041819297748, "
+        "'D': 1.0165085678049064, 'T2': 1.2894824274192236, "
+        "'T3': 1.0610303223154518, 'J2': 0.803489020772046, "
+        "'J3': 0.5305151611577288, 'D2': 0.4859934066471776, "
+        "'D3': 0.5305151611577288, 'tangle': 0.31254370719050223, "
+        "'pairwise_mutual': [1.2894824274192236, 0.5310141144554121, "
+        "0.5300162078600431], 'cut_mutual': [1.0610303223154518, "
+        "1.8194986352792633, 1.8204965418746322], "
+        "'ordering': {'permutation': ['a', 'b', 'c'], "
+        "'sorted_mutual_infos': [1.2894824274192236, 0.5310141144554121, "
+        "0.5300162078600431]}, 'pure': True, 'method': 'closed-form'}",
+        "(1.3340041819297748, 1.0165085678049064, (0.803489020772046, "
+        "0.4859934066471776), 0.5305151611577288, 0.5305151611577288)",
+    ),
+    42: (
+        "{'T': 2.23817237637112, 'J': 1.3560864648022088, "
+        "'D': 0.8820859115689144, 'T2': 0.9579926803911469, "
+        "'T3': 1.2801796959799732, 'J2': 0.7159966168122212, "
+        "'J3': 0.6400898479899877, 'D2': 0.24199606357892678, "
+        "'D3': 0.6400898479899876, 'tangle': 0.44175877694114984, "
+        "'pairwise_mutual': [0.9579926803911469, 0.670671785851176, "
+        "0.6095079101287978], 'cut_mutual': [1.2801796959799732, "
+        "1.567500590519944, 1.6286644662423222], "
+        "'ordering': {'permutation': ['a', 'b', 'c'], "
+        "'sorted_mutual_infos': [0.9579926803911469, 0.670671785851176, "
+        "0.6095079101287978]}, 'pure': True, 'method': 'closed-form'}",
+        "(1.3560864648022088, 0.8820859115689144, (0.7159966168122212, "
+        "0.24199606357892678), 0.6400898479899876, 0.6400898479899876)",
+    ),
+    "spectator": (
+        "{'T': 1.9999999999999998, 'J': 1.0000000000000002, 'D': 1.0, "
+        "'T2': 1.9999999999999998, 'T3': 0.0, 'J2': 1.0, "
+        "'J3': 2.220446049250313e-16, 'D2': 0.0, 'D3': 1.0000000000000007, "
+        "'tangle': 0.0, 'pairwise_mutual': [1.9999999999999998, "
+        "2.220446049250313e-16, 2.220446049250313e-16], "
+        "'cut_mutual': [3.2034265038149176e-16, 1.9999999999999998, "
+        "1.9999999999999998], 'ordering': {'permutation': ['b', 'c', 'a'], "
+        "'sorted_mutual_infos': [1.9999999999999998, "
+        "2.220446049250313e-16, 2.220446049250313e-16]}, 'pure': True, "
+        "'method': 'closed-form'}",
+        "(1.0000000000000002, 1.0, (1.0, 0.0), 3.2034265038149176e-16, "
+        "3.2034265038149176e-16)",
+    ),
+}
+MIXED_REPORT_0_REPR = (
+    "{'T': 1.6480765915869284, 'J': 1.0611691208815865, "
+    "'D': 0.5869074707053419, 'T2': 0.5619564647325541, "
+    "'T3': 1.0861201268543743, 'J2': 0.4815915072726039, "
+    "'J3': 0.5795776136089826, 'D2': 0.061635778012229414, "
+    "'D3': 0.5252716926931125, 'tangle': None, "
+    "'pairwise_mutual': [0.5619564647325541, 0.38852431790076647, "
+    "0.36082348044766266], 'cut_mutual': [1.0861201268543743, "
+    "1.259552273686162, 1.2872531111392655], "
+    "'ordering': {'permutation': ['c', 'a', 'b'], "
+    "'sorted_mutual_infos': [0.5619564647325541, 0.38852431790076647, "
+    "0.36082348044766266]}, 'pure': False, 'method': 'optimizer'}"
 )
 
 # repr of double_conditional_entropy at the bases of double_test_angles(),
@@ -115,6 +196,15 @@ def bell_with_spectator():
     # parties (a, b, c): a is |0>, b and c share a Bell pair
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     return PureState(np.kron([1.0, 0.0], bell).astype(complex))
+
+
+def spectator_with_leak(eps):
+    # bell_with_spectator() plus eps |100>, normalized: every cut is entangled,
+    # but the a|bc cut only to order eps^2
+    amp = np.zeros(8, dtype=complex)
+    amp[0b001] = amp[0b010] = 1.0 / math.sqrt(2.0)
+    amp[0b100] = eps
+    return PureState(amp / np.linalg.norm(amp))
 
 
 def classical_ghz_mixture():
@@ -246,6 +336,35 @@ class TestClosedFormReports:
                   "J2": 1.0, "J3": 0.0, "D2": 0.0, "D3": 1.0, "tangle": 0.0}
         for key, val in expect.items():
             assert abs(getattr(rep, key) - val) < 1e-9, key
+
+    def test_report_and_accessors_are_bit_identical_to_recorded_values(self):
+        for key, (report_repr, parts_repr) in PURE_REPR.items():
+            psi = (bell_with_spectator() if key == "spectator"
+                   else haar_random_pure(3, key))
+            assert repr(correlation_report(psi).to_dict()) == report_repr, key
+            parts = (total_classical_pure(psi), total_discord_pure(psi),
+                     bipartite_parts_pure(psi), genuine_classical(psi),
+                     genuine_discord(psi))
+            assert repr(parts) == parts_repr, key
+
+    def test_product_cut_switch_jumps_by_one_bit(self):
+        # CUT_PRODUCT_TOL = 1e-6 on the smallest cut mutual information picks
+        # the D2 formula, so D2 and D3 trade a full bit between eps = 1e-4
+        # (degenerate branch) and eps = 5e-4 (ordered form). The jump is a
+        # known property of the spec, pinned here by size, not endorsed.
+        below = correlation_report(spectator_with_leak(1e-4))
+        above = correlation_report(spectator_with_leak(5e-4))
+        assert min(below.cut_mutual) < CUT_PRODUCT_TOL < min(above.cut_mutual)
+        assert abs(min(below.cut_mutual) - 5.6e-7) < 1e-8
+        assert abs(min(above.cut_mutual) - 1.17e-5) < 1e-7
+        assert abs(below.D2 - 1.45e-7) < 1e-9 and abs(below.D3 - 1.0) < 1e-9
+        assert abs(above.D2 - 0.999997) < 1e-6 and abs(above.D3 - 5.84e-6) < 1e-8
+        assert (above.D2 - below.D2) > 0.99 and (below.D3 - above.D3) > 0.99
+        # J3 = D3 holds on the ordered branch only
+        assert abs(above.J3 - above.D3) < 1e-12
+        assert abs(below.J3 - 2.8e-7) < 1e-8
+        for rep in (below, above):
+            assert abs(rep.D2 + rep.D3 - rep.D) < 1e-12
 
     def test_report_matches_individual_closed_forms(self):
         psi = haar_random_pure(3, 17)
@@ -409,6 +528,10 @@ class TestDoubleConditional:
             assert repr(got) == want, (seed, k)
         report = correlation_report(random_mixed_state(3, 100))
         assert repr(report.to_dict()) == MIXED_REPORT_100_REPR
+
+    def test_mixed_report_is_bit_identical_to_recorded_values(self):
+        report = correlation_report(random_mixed_state(3, 0))
+        assert repr(report.to_dict()) == MIXED_REPORT_0_REPR
 
     def test_double_entropy_is_bit_identical_to_recorded_values(self):
         states = (random_mixed_state(3, 5), random_mixed_state(3, 17))

@@ -175,6 +175,21 @@ class TestOracleCrosscheck:
     def test_haar_states_agree(self):
         assert oracle_crosscheck(3, 0).passes
 
+    def test_exception_counts_as_numerics_violation(self):
+        two_qubit = PureState(
+            np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+        )
+        report = oracle_crosscheck(2, 0, states=[two_qubit])
+        assert [c.name for c in report.checks] == [
+            "oracle_classical", "oracle_discord",
+            "optimizer_beats_closed_form", "numerics"]
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["numerics"].count_violated == 1
+        assert by_name["numerics"].count_checked == 2
+        assert not report.passes
+        # the broken sample contributes nothing to the other checks
+        assert by_name["oracle_classical"].count_checked == 1
+
 
 class TestExplore:
     def test_validation(self):
