@@ -9,18 +9,12 @@ pure three-qubit states are provided for cross-checking the optimizer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InternalInvariantError,
-    ParseError,
-    UnsupportedInputError,
-    ValidationError,
-)
+from .errors import InternalInvariantError, UnsupportedInputError, ValidationError
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -402,44 +396,3 @@ def koashi_winter_discord(psi, i, j) -> float:
         raise InternalInvariantError(f"closed-form discord {value!r} < 0")
     return max(0.0, value)
 
-
-def parse_matrix_json(text: str) -> DensityMatrix:
-    """Parse the standalone two-qubit matrix format.
-
-    {"parties": ["a", "b"], "matrix": [[[re, im], ...4 entries] ...4 rows]}
-
-    Validation failures name the violated invariant (hermiticity, unit
-    trace, positivity).
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
-    if not isinstance(data, dict) or "matrix" not in data:
-        raise ValidationError("matrix file must be a JSON object with a matrix field")
-    raw = data["matrix"]
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"non-numeric matrix entry: {exc}") from exc
-    if arr.shape != (4, 4, 2):
-        raise ValidationError(
-            f"matrix must be 4x4 entries of [re, im] pairs, got shape {arr.shape}"
-        )
-    parties = data.get("parties", ["a", "b"])
-    return DensityMatrix(arr[..., 0] + 1j * arr[..., 1], parties)
-
-
-def load_matrix(path) -> DensityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_json(fh.read())
-
-
-def matrix_to_json(rho: DensityMatrix) -> str:
-    data = {
-        "parties": list(rho.parties),
-        "matrix": [
-            [[float(x.real), float(x.imag)] for x in row] for row in rho.matrix
-        ],
-    }
-    return json.dumps(data)

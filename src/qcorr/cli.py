@@ -217,21 +217,12 @@ def _dump_reductions(state, directory):
     for i, j in itertools.combinations(rho.parties, 2):
         red = qstate.partial_trace(rho, [i, j])
         path = os.path.join(directory, f"reduction_{i}{j}.json")
-        _write_text(path, bipartite.matrix_to_json(red))
+        _write_text(path, qstate.matrix_to_json(red))
         sys.stderr.write(f"wrote {path}\n")
 
 
 def _sweep_rows(args):
-    if not 0.0 <= args.p_min <= args.p_max <= 1.0:
-        raise ValidationError(
-            f"need 0 <= p_min <= p_max <= 1, got [{args.p_min}, {args.p_max}]"
-        )
-    if args.step <= 0.0:
-        raise ValidationError(f"step {args.step!r} must be positive")
-    count = int(round((args.p_max - args.p_min) / args.step)) + 1
-    # the last point may overshoot p_max by up to step / 2; it stops at p_max
-    ps = [min(round(args.p_min + k * args.step, 12), args.p_max)
-          for k in range(count)]
+    ps = tripartite.sweep_grid(args.p_min, args.p_max, args.step)
     families = (("ghz_tilde", "w_tilde") if args.family == "both"
                 else (args.family,))
     return tripartite.sweep_families(ps, families), families
@@ -325,7 +316,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_discord2q(args) -> int:
-    rho = bipartite.load_matrix(args.matrix_file)
+    rho = qstate.load_matrix(args.matrix_file)
     kwargs = dict(grid=args.grid, refine_iters=args.refine_iters, tol=args.tol)
     direct = bipartite.classical_correlation_directional(
         rho, args.measured, **kwargs

@@ -1,5 +1,6 @@
 """Labeled multi-qubit states: composition, reduction, spectra, entropies,
-distances, and seeded Haar-random sampling.
+distances, seeded Haar-random sampling, and the [re, im] JSON file formats
+of states and two-qubit matrices.
 
 Basis convention: party 0 is the most significant bit of the computational
 basis index, so |100> on three qubits is index 4. All entropies are in bits
@@ -268,6 +269,29 @@ def random_mixed_state(n_qubits: int, seed: int, max_terms: int = 4) -> DensityM
     return DensityMatrix(m)
 
 
+def _decode_json(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
+
+
+def _float_array(raw, what):
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"non-numeric {what} entry: {exc}") from exc
+    # json reads NaN and Infinity, and numpy turns null into nan
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"non-finite {what} entry")
+    return arr
+
+
+def _to_pairs(values):
+    """Nested [re, im] pairs of a complex array, one pair per entry."""
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
 def parse_state_json(text: str) -> PureState:
     """Parse the state file format.
 
@@ -276,10 +300,7 @@ def parse_state_json(text: str) -> PureState:
     Rejects wrong-length amplitude arrays and norm deviations above 1e-8;
     accepted vectors are renormalized to machine precision.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
+    data = _decode_json(text)
     if not isinstance(data, dict):
         raise ValidationError("state file must be a JSON object")
     missing = [k for k in ("n", "labels", "amplitudes") if k not in data]
@@ -293,10 +314,7 @@ def parse_state_json(text: str) -> PureState:
         raise ValidationError(
             f"amplitudes must be a list of {2**n} [re, im] pairs"
         )
-    try:
-        pairs = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"non-numeric amplitude entry: {exc}") from exc
+    pairs = _float_array(raw, "amplitude")
     if pairs.shape != (2**n, 2):
         raise ValidationError(f"amplitudes must have shape ({2**n}, 2)")
     amp = pairs[:, 0] + 1j * pairs[:, 1]
@@ -315,6 +333,36 @@ def state_to_json(psi: PureState) -> str:
     data = {
         "n": psi.n_qubits,
         "labels": list(psi.labels),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
+        "amplitudes": _to_pairs(psi.amplitudes),
     }
+    return json.dumps(data)
+
+
+def parse_matrix_json(text: str) -> DensityMatrix:
+    """Parse the standalone two-qubit matrix format.
+
+    {"parties": ["a", "b"], "matrix": [[[re, im], ...4 entries] ...4 rows]}
+
+    Validation failures name the violated invariant (hermiticity, unit
+    trace, positivity).
+    """
+    data = _decode_json(text)
+    if not isinstance(data, dict) or "matrix" not in data:
+        raise ValidationError("matrix file must be a JSON object with a matrix field")
+    arr = _float_array(data["matrix"], "matrix")
+    if arr.shape != (4, 4, 2):
+        raise ValidationError(
+            f"matrix must be 4x4 entries of [re, im] pairs, got shape {arr.shape}"
+        )
+    parties = data.get("parties", ["a", "b"])
+    return DensityMatrix(arr[..., 0] + 1j * arr[..., 1], parties)
+
+
+def load_matrix(path) -> DensityMatrix:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_matrix_json(fh.read())
+
+
+def matrix_to_json(rho: DensityMatrix) -> str:
+    data = {"parties": list(rho.parties), "matrix": _to_pairs(rho.matrix)}
     return json.dumps(data)

@@ -213,8 +213,12 @@ def canonical_ordering(rho) -> PartyOrdering:
     original labels, so fully symmetric states keep the identity.
     """
     rho = _as_three_party(rho, "canonical_ordering")
-    _, _, pair_i = _entropies_and_pairs(rho)
-    for perm in itertools.permutations(sorted(rho.parties)):
+    return _ordering(rho.parties, _entropies_and_pairs(rho)[2])
+
+
+def _ordering(labels, pair_i):
+    """canonical_ordering from the pairwise mutual informations pair_i."""
+    for perm in itertools.permutations(sorted(labels)):
         x, y, z = perm
         i_xy = _pair_lookup(pair_i, x, y)
         i_xz = _pair_lookup(pair_i, x, z)
@@ -467,14 +471,16 @@ def _report_pure(psi):
 
 
 def _report_mixed(rho, grid, refine_iters, tol):
-    s1, pair_rho, _ = _entropies_and_pairs(rho)
-    order = canonical_ordering(rho)
-    t = total_information(rho)
+    # one entropy table gives the ordering, T and the cuts
+    s1, pair_rho, pair_i = _entropies_and_pairs(rho)
+    s_rho = von_neumann_entropy(rho)
+    order = _ordering(rho.parties, pair_i)
+    t = _clip(sum(s1.values()) - s_rho)  # floored like total_information
     kwargs = dict(grid=grid, refine_iters=refine_iters, tol=tol)
     j = total_classical_mixed(rho, **kwargs)
     j2 = max(symmetrized_classical(red, **kwargs) for red in pair_rho.values())
     d2 = min(symmetrized_discord(red, **kwargs) for red in pair_rho.values())
-    cut = _cut_mutual(order.permutation, s1, pair_rho, von_neumann_entropy(rho))
+    cut = _cut_mutual(order.permutation, s1, pair_rho, s_rho)
     return _assemble_report(t, j, t - j, j2, d2, order, cut, None)
 
 
@@ -501,6 +507,21 @@ def _assemble_report(t, j, d, j2, d2, order, cut, tangle):
     )
 
 
+def sweep_grid(p_min, p_max, step):
+    """The p values p_min, p_min + step, ... of a sweep, rounded to 12 digits.
+
+    The last point may overshoot p_max by up to step / 2; it stops at p_max.
+    """
+    if not 0.0 <= p_min <= p_max <= 1.0:
+        raise ValidationError(
+            f"need 0 <= p_min <= p_max <= 1, got [{p_min}, {p_max}]"
+        )
+    if not step > 0.0:  # also catches nan
+        raise ValidationError(f"step {step!r} must be positive")
+    count = int(round((p_max - p_min) / step)) + 1
+    return [min(round(p_min + k * step, 12), p_max) for k in range(count)]
+
+
 def sweep_families(p_grid, families=("ghz_tilde", "w_tilde")):
     """Closed-form reports for each family at each p, as (p, family, report)."""
     rows = []
@@ -518,22 +539,20 @@ def find_discord_crossover(p_lo=0.0, p_hi=1.0, step=SWEEP_STEP_DEFAULT,
                            tol=CROSSOVER_TOL):
     """Smallest p where the W-family total discord exceeds the GHZ-family's.
 
-    Scans the grid for a sign change of the difference and bisects it down
-    to the requested tolerance. Returns None when no crossover exists in
-    the range.
+    Scans sweep_grid(p_lo, p_hi, step) for a sign change of the difference
+    and bisects it down to the requested tolerance. Returns None when no
+    crossover exists in the range.
     """
 
     def gap(p):
         return (total_discord_pure(family_w_tilde(p))
                 - total_discord_pure(family_ghz_tilde(p)))
 
-    # the last step may overshoot p_hi by up to step / 2; it stops at p_hi
-    grid = np.minimum(np.arange(p_lo, p_hi + step / 2.0, step), p_hi)
     previous = None
-    for p in grid:
-        g = gap(float(p))
+    for p in sweep_grid(p_lo, p_hi, step):
+        g = gap(p)
         if previous is not None and previous[1] <= 0.0 < g:
-            lo, hi = previous[0], float(p)
+            lo, hi = previous[0], p
             while hi - lo > tol:
                 mid = (lo + hi) / 2.0
                 if gap(mid) > 0.0:
@@ -541,7 +560,7 @@ def find_discord_crossover(p_lo=0.0, p_hi=1.0, step=SWEEP_STEP_DEFAULT,
                 else:
                     lo = mid
             return (lo + hi) / 2.0
-        previous = (float(p), g)
+        previous = (p, g)
     return None
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,6 +45,8 @@ from .bipartite import (
 from .tripartite import (
     REPORT_FIELDS,
     _bipartitions,
+    _entropies_and_pairs,
+    _pair_lookup,
     correlation_report,
     genuine_total,
     genuine_total_via_relative_entropy,
@@ -78,14 +80,7 @@ class PropertyCheck:
             )
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "tolerance": self.tolerance,
-            "count_checked": self.count_checked,
-            "count_violated": self.count_violated,
-            "worst_margin": self.worst_margin,
-            "worst_seed": self.worst_seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -431,18 +426,8 @@ def explore_pairwise_order_n(n_samples: int, seed: int,
     for index in range(n_samples):
         s_i = sub_seed(seed, index)
         psi = haar_random_pure(n_qubits, s_i)
-        rho = density_of(psi)
-        s = {
-            x: von_neumann_entropy(partial_trace(rho, [x]))
-            for x in psi.labels
-        }
+        s, _, pair_i = _entropies_and_pairs(density_of(psi))
         by_entropy = sorted(psi.labels, key=lambda x: -s[x])
-        pair_i = {}
-        for i, j in itertools.combinations(psi.labels, 2):
-            red = partial_trace(rho, [i, j])
-            pair_i[frozenset((i, j))] = (
-                s[i] + s[j] - von_neumann_entropy(red)
-            )
         ok = True
         # entropy-sorted parties should sort shared pairs: for x above y
         # (z any third), demand I(x,z) >= I(y,z)
@@ -450,8 +435,8 @@ def explore_pairwise_order_n(n_samples: int, seed: int,
             for z in psi.labels:
                 if z in (x, y):
                     continue
-                if (pair_i[frozenset((x, z))]
-                        < pair_i[frozenset((y, z))] - 1e-10):
+                if (_pair_lookup(pair_i, x, z)
+                        < _pair_lookup(pair_i, y, z) - 1e-10):
                     ok = False
         consistent += ok
         records.append({"sub_seed": s_i, "consistent": bool(ok)})

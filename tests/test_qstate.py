@@ -15,6 +15,7 @@ from qcorr import (
     eig_hermitian,
     haar_random_pure,
     load_state,
+    parse_matrix_json,
     parse_state_json,
     partial_trace,
     permute_parties,
@@ -270,6 +271,20 @@ class TestStateSerialization:
         blob = json.dumps({"n": 2, "labels": ["a", "b"], "amplitudes": amps})
         psi = parse_state_json(blob)
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+
+    def test_non_finite_entries_rejected(self):
+        # null becomes nan in numpy; NaN and Infinity are json.loads literals
+        for bad in ("null", "NaN", "Infinity"):
+            blob = ('{"n": 1, "labels": ["a"], "amplitudes": [[1, 0], [%s, 0]]}'
+                    % bad)
+            with pytest.raises(ValidationError,
+                               match="non-finite amplitude entry"):
+                parse_state_json(blob)
+            rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)]
+                    for i in range(4)]
+            blob = json.dumps({"matrix": rows}).replace("0.25", bad, 1)
+            with pytest.raises(ValidationError, match="non-finite matrix entry"):
+                parse_matrix_json(blob)
 
     def test_load_state_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -43,7 +43,7 @@ from qcorr import (
     total_information,
     w_state,
 )
-from qcorr.tripartite import CUT_PRODUCT_TOL
+from qcorr.tripartite import CUT_PRODUCT_TOL, sweep_grid
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 E_W_PAIR = 0.5500477595827576
@@ -563,6 +563,23 @@ class TestSweepAndCrossover:
 
     def test_no_crossover_below_range(self):
         assert find_discord_crossover(0.0, 0.5) is None
+
+    def test_crossover_rejects_bad_ranges(self):
+        with pytest.raises(ValidationError, match="step 0.0 must be positive"):
+            find_discord_crossover(0.0, 1.0, 0.0)
+        with pytest.raises(ValidationError, match="step nan must be positive"):
+            find_discord_crossover(0.0, 1.0, math.nan)
+        with pytest.raises(ValidationError, match="p_min <= p_max"):
+            find_discord_crossover(0.8, 0.2)
+
+    def test_sweep_grid_clamps_last_point(self):
+        assert sweep_grid(0, 0.76, 0.4) == [0.0, 0.4, 0.76]
+        assert sweep_grid(0.3, 0.3, 0.1) == [0.3]
+
+    def test_sweep_grid_rounds_to_12_digits(self):
+        assert np.arange(0.0, 1.05, 0.1)[3] == 0.30000000000000004
+        assert sweep_grid(0, 1, 0.1)[3] == 0.3
+        assert len(sweep_grid(0, 1, 0.01)) == 101
 
     def test_family_discords_straddle_crossover(self):
         for p, w_wins in ((0.70, False), (0.80, True)):

@@ -49,6 +49,14 @@ class TestPropertyCheck:
         assert d["worst_margin"] is None
         assert d["worst_seed"] is None
 
+    def test_to_dict_keeps_field_order(self):
+        # the key order of verify --format json
+        check = PropertyCheck("x", 1e-9, 10, 2, worst_margin=0.5, worst_seed=7)
+        assert list(check.to_dict().items()) == [
+            ("name", "x"), ("tolerance", 1e-9), ("count_checked", 10),
+            ("count_violated", 2), ("worst_margin", 0.5), ("worst_seed", 7),
+        ]
+
 
 class TestEvaluateSample:
     def test_ghz_margins_within_tolerance(self):
@@ -206,6 +214,26 @@ class TestExplore:
         assert len(out1["records"]) == 6
         assert 0 <= out1["consistent"] <= 6
         assert all(isinstance(r["consistent"], bool) for r in out1["records"])
+
+    def test_matches_recorded_values(self):
+        assert explore_pairwise_order_n(6, 2) == {
+            "n_samples": 6, "seed": 2, "n_qubits": 4, "consistent": 0,
+            "records": [{"sub_seed": s, "consistent": False} for s in (
+                10128210881749538955, 6609312287773032911,
+                15752139279244931036, 7328172287439240521,
+                1684697524250777662, 10855449103376275576)],
+        }
+        assert explore_pairwise_order_n(4, 3, n_qubits=5) == {
+            "n_samples": 4, "seed": 3, "n_qubits": 5, "consistent": 0,
+            "records": [{"sub_seed": s, "consistent": False} for s in (
+                12467808127879573787, 11425928242767342472,
+                11475712343069784169, 12505594170494392219)],
+        }
+        # the first samples of seed 0 that do sort consistently
+        out = explore_pairwise_order_n(40, 0)
+        assert out["consistent"] == 3
+        assert [i for i, r in enumerate(out["records"])
+                if r["consistent"]] == [9, 32, 38]
 
 
 class TestViolationReport:
