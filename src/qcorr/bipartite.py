@@ -306,6 +306,14 @@ def classical_correlation_directional(
     return DirectionalResult(max(0.0, value), basis, "optimizer")
 
 
+def discord_from(mi, classical) -> float:
+    """D = I - J floored at zero; below -1e-6 the optimizer has failed."""
+    value = mi - classical
+    if value < -DISCORD_CLIP:
+        raise InternalInvariantError(f"discord {value!r} below -1e-6")
+    return max(0.0, value)
+
+
 def discord_directional(
     rho_ab: DensityMatrix,
     measured_party=None,
@@ -317,10 +325,8 @@ def discord_directional(
     j = classical_correlation_directional(
         rho_ab, measured_party, grid=grid, refine_iters=refine_iters, tol=tol
     )
-    value = mutual_information(rho_ab) - j.value
-    if value < -DISCORD_CLIP:
-        raise InternalInvariantError(f"discord {value!r} below -1e-6")
-    return DirectionalResult(max(0.0, value), j.optimal_basis, "optimizer")
+    return DirectionalResult(discord_from(mutual_information(rho_ab), j.value),
+                             j.optimal_basis, "optimizer")
 
 
 def symmetrized_classical(rho_ab: DensityMatrix, **kwargs) -> float:
@@ -333,11 +339,10 @@ def symmetrized_classical(rho_ab: DensityMatrix, **kwargs) -> float:
 
 
 def symmetrized_discord(rho_ab: DensityMatrix, **kwargs) -> float:
-    """min[D_{a:b}, D_{b:a}] over the two measurement directions."""
+    """min[D_{a:b}, D_{b:a}] = I - max[J_{a:b}, J_{b:a}]."""
     _require_parties(rho_ab, 2, "symmetrized_discord")
-    return min(
-        discord_directional(rho_ab, p, **kwargs).value for p in rho_ab.parties
-    )
+    return discord_from(mutual_information(rho_ab),
+                        symmetrized_classical(rho_ab, **kwargs))
 
 
 def _unsupported(what):

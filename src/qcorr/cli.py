@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dq = subs.add_parser("discord2q", help="two-qubit discord of a matrix file")
     p_dq.add_argument("matrix_file")
-    p_dq.add_argument("--measured", choices=("a", "b"), default="b")
+    p_dq.add_argument("--measured", metavar="PARTY",
+                      help="party of the file to measure (default: its second)")
     p_dq.add_argument("--format", choices=("table", "json"), default="table")
     _add_optimizer_flags(p_dq)
     p_dq.set_defaults(func=cmd_discord2q)
@@ -249,8 +250,7 @@ def cmd_sweep(args) -> int:
     text = _sweep_text(rows, args.format)
     summary = None
     if len(families) == 2:
-        star = tripartite.find_discord_crossover(args.p_min, args.p_max,
-                                                 args.step)
+        star = tripartite.find_discord_crossover(rows)
         if star is None:
             summary = "no discord crossover in range\n"
         else:
@@ -318,21 +318,23 @@ def cmd_verify(args) -> int:
 def cmd_discord2q(args) -> int:
     rho = qstate.load_matrix(args.matrix_file)
     kwargs = dict(grid=args.grid, refine_iters=args.refine_iters, tol=args.tol)
-    direct = bipartite.classical_correlation_directional(
-        rho, args.measured, **kwargs
-    )
+    measured = rho.parties[1] if args.measured is None else args.measured
+    # one search per direction; the symmetrized fields derive from the two
+    direct = bipartite.classical_correlation_directional(rho, measured, **kwargs)
+    (other,) = [p for p in rho.parties if p != measured]
+    reverse = bipartite.classical_correlation_directional(rho, other, **kwargs)
     mi = bipartite.mutual_information(rho)
-    discord = max(mi - direct.value, 0.0)
+    symmetrized = max(direct.value, reverse.value)
     payload = {
-        "measured": args.measured,
+        "measured": measured,
         "classical": direct.value,
-        "discord": discord,
+        "discord": bipartite.discord_from(mi, direct.value),
         "optimal_basis": {
             "theta": direct.optimal_basis.theta,
             "phi": direct.optimal_basis.phi,
         },
-        "symmetrized_classical": bipartite.symmetrized_classical(rho, **kwargs),
-        "symmetrized_discord": bipartite.symmetrized_discord(rho, **kwargs),
+        "symmetrized_classical": symmetrized,
+        "symmetrized_discord": bipartite.discord_from(mi, symmetrized),
         "mutual_information": mi,
     }
     if args.format == "json":

@@ -48,7 +48,7 @@ from .bipartite import (
 
 CUT_PRODUCT_TOL = 1e-6
 DOUBLE_GRID_DEFAULT = 30
-SWEEP_STEP_DEFAULT = 0.01
+SWEEP_MAX_POINTS = 100_001
 CROSSOVER_TOL = 1e-4
 
 REPORT_FIELDS = ("T", "J", "D", "T2", "T3", "J2", "J3", "D2", "D3", "tangle")
@@ -511,6 +511,7 @@ def sweep_grid(p_min, p_max, step):
     """The p values p_min, p_min + step, ... of a sweep, rounded to 12 digits.
 
     The last point may overshoot p_max by up to step / 2; it stops at p_max.
+    Grids of more than SWEEP_MAX_POINTS points are refused before any is built.
     """
     if not 0.0 <= p_min <= p_max <= 1.0:
         raise ValidationError(
@@ -518,8 +519,12 @@ def sweep_grid(p_min, p_max, step):
         )
     if not step > 0.0:  # also catches nan
         raise ValidationError(f"step {step!r} must be positive")
-    count = int(round((p_max - p_min) / step)) + 1
-    return [min(round(p_min + k * step, 12), p_max) for k in range(count)]
+    span = (p_max - p_min) / step
+    if span >= SWEEP_MAX_POINTS - 0.5:  # also inf, which round() rejects
+        raise ValidationError(f"step {step!r} asks for {span + 1.0:.6g} grid "
+                              f"points, more than {SWEEP_MAX_POINTS}")
+    return [min(round(p_min + k * step, 12), p_max)
+            for k in range(int(round(span)) + 1)]
 
 
 def sweep_families(p_grid, families=("ghz_tilde", "w_tilde")):
@@ -535,32 +540,29 @@ def sweep_families(p_grid, families=("ghz_tilde", "w_tilde")):
     return rows
 
 
-def find_discord_crossover(p_lo=0.0, p_hi=1.0, step=SWEEP_STEP_DEFAULT,
-                           tol=CROSSOVER_TOL):
+def find_discord_crossover(rows, tol=CROSSOVER_TOL):
     """Smallest p where the W-family total discord exceeds the GHZ-family's.
 
-    Scans sweep_grid(p_lo, p_hi, step) for a sign change of the difference
-    and bisects it down to the requested tolerance. Returns None when no
-    crossover exists in the range.
+    Scans the D values of sweep_families rows of both families, in order of
+    p, for a sign change of the difference and bisects it with
+    total_discord_pure down to tol. Returns None when the rows hold none.
     """
-
-    def gap(p):
-        return (total_discord_pure(family_w_tilde(p))
-                - total_discord_pure(family_ghz_tilde(p)))
-
-    previous = None
-    for p in sweep_grid(p_lo, p_hi, step):
-        g = gap(p)
-        if previous is not None and previous[1] <= 0.0 < g:
-            lo, hi = previous[0], p
+    d = {(p, family): report.D for p, family, report in rows}
+    gaps = []
+    for p in sorted({p for p, _ in d}):
+        if (p, "ghz_tilde") not in d or (p, "w_tilde") not in d:
+            raise ValidationError(f"crossover needs both families' rows at p = {p!r}")
+        gaps.append((p, d[p, "w_tilde"] - d[p, "ghz_tilde"]))
+    for (lo, g_lo), (hi, g_hi) in zip(gaps, gaps[1:]):
+        if g_lo <= 0.0 < g_hi:
             while hi - lo > tol:
                 mid = (lo + hi) / 2.0
-                if gap(mid) > 0.0:
+                if (total_discord_pure(family_w_tilde(mid))
+                        - total_discord_pure(family_ghz_tilde(mid))) > 0.0:
                     hi = mid
                 else:
                     lo = mid
             return (lo + hi) / 2.0
-        previous = (p, g)
     return None
 
 
@@ -713,10 +715,10 @@ def total_classical_mixed(rho, grid=GRID_DEFAULT,
     """
     rho = _as_three_party(rho, "total_classical_mixed")
     labels = rho.parties
-    s1 = {x: von_neumann_entropy(partial_trace(rho, [x])) for x in labels}
+    s1, pair_rho, _ = _entropies_and_pairs(rho)
     single_min = {}
     for i, j in itertools.permutations(labels, 2):
-        red = partial_trace(rho, [i, j])
+        red = _pair_lookup(pair_rho, i, j)
         slot = red.parties.index(i)
         single_min[(j, i)], _ = _min_conditional_entropy(
             red, slot, grid, refine_iters, tol

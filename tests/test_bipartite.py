@@ -34,6 +34,7 @@ from qcorr import (
     to_pure,
     von_neumann_entropy,
 )
+from qcorr.bipartite import discord_from
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 # entanglement of formation at concurrence 2/3, i.e. h((3 + sqrt 5) / 6)
@@ -69,6 +70,50 @@ DIRECTIONAL_REPR = {
         "0.17854146212602678", "1.4911835550208228", "6.230600302717302"),
     ("pure7", "c", (17, 31)): (
         "0.17854146212602695", "1.4911835463093381", "6.2306003099548555"),
+}
+
+
+# reprs of symmetrized_classical, symmetrized_discord and (value, theta, phi)
+# of discord_directional measured on a and on b, for random_mixed_state(2, k);
+# recorded when symmetrized_discord took the minimum of the two directional
+# discords instead of subtracting the symmetrized classical correlation
+SYMMETRIZED_REPR = {
+    0: ('0.15630246003837966', '0.19327291943649116',
+        ('0.19327291943649116', '0.6074217799989214', '1.410129165052434'),
+        ('0.20575688138466863', '1.3652568984925124', '4.8352513140407485')),
+    1: ('0.5485671308684616', '0.21120055277145366',
+        ('0.22972425905181149', '0.8584528938716766', '1.3754261026851107'),
+        ('0.21120055277145366', '1.2396264452207912', '6.092921469839732')),
+    2: ('0.34337853665254564', '0.10611603090508509',
+        ('0.10949272746035843', '1.2091980753010656', '0.8273109870326933'),
+        ('0.10611603090508509', '1.2233850207494732', '2.785774660817699')),
+    3: ('0.23249073675523907', '0.05061504320429627',
+        ('0.09329859545958197', '0.8368564071850172', '2.2064998569231626'),
+        ('0.05061504320429627', '1.5463446406492003', '3.648281445935509')),
+    4: ('0.28240564058154843', '0.03493763936158972',
+        ('0.07684967038503077', '1.0386044540058514', '3.7929508214513543'),
+        ('0.03493763936158972', '0.427335783075137', '1.9456768612343116')),
+    5: ('0.2682677438733948', '0.25452652263663855',
+        ('0.26032044046993263', '1.4063693535733615', '0.4763138843067578'),
+        ('0.25452652263663855', '0.7433704817393563', '0.8936651608868185')),
+    6: ('0.23162924132684237', '0.1698270978967551',
+        ('0.1708670548877798', '0.5287643823444359', '5.52028611714621'),
+        ('0.1698270978967551', '1.1278734807263007', '0.03460454701272996')),
+    7: ('0.4935445991025387', '0.05812632574501664',
+        ('0.05812632574501664', '1.38437342028538', '6.027078782494975'),
+        ('0.06341067013194174', '0.5597474910213125', '2.85894710416853')),
+    8: ('0.1717073468360114', '0.09090048559278341',
+        ('0.09090048559278341', '1.5589112225212394', '5.039344305669968'),
+        ('0.09092561251288556', '1.484213350948738', '4.0368774660970725')),
+    9: ('0.251445403943918', '0.11507626950635108',
+        ('0.11507626950635108', '0.9499626883752889', '1.1015340425703224'),
+        ('0.16290475109246427', '0.9797548938330182', '3.782247675585262')),
+    10: ('0.3427074028284882', '0.1502865684247079',
+         ('0.1502865684247079', '1.3496201325514599', '0.14443670653221746'),
+         ('0.19727314216783354', '1.146383579357955', '3.3303760135989506')),
+    11: ('0.6548692205925695', '0.17247980133021246',
+         ('0.17247980133021246', '0.5141299021647273', '2.7807534020537688'),
+         ('0.24177536736213245', '1.1263977542927832', '2.7517174252096916')),
 }
 
 
@@ -277,6 +322,24 @@ class TestDirectionalCorrelations:
         d_b = discord_directional(rho, "b").value
         assert abs(symmetrized_classical(rho) - max(j_a, j_b)) < 1e-12
         assert abs(symmetrized_discord(rho) - min(d_a, d_b)) < 1e-12
+
+    def test_symmetrized_is_bit_identical_to_recorded_values(self):
+        def triple(res):
+            basis = res.optimal_basis
+            return repr(res.value), repr(basis.theta), repr(basis.phi)
+
+        for k, want in SYMMETRIZED_REPR.items():
+            rho = random_mixed_state(2, k)
+            got = (repr(symmetrized_classical(rho)), repr(symmetrized_discord(rho)),
+                   triple(discord_directional(rho, "a")),
+                   triple(discord_directional(rho, "b")))
+            assert got == want, k
+
+    def test_discord_from_floors_noise_and_rejects_failures(self):
+        assert discord_from(0.5, 0.25) == 0.25
+        assert discord_from(0.5, 0.5 + 1e-7) == 0.0
+        with pytest.raises(InternalInvariantError, match="below -1e-6"):
+            discord_from(0.5, 0.5 + 1e-5)
 
     def test_negative_value_rejected(self):
         from qcorr.bipartite import DirectionalResult

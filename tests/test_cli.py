@@ -7,19 +7,54 @@ import numpy as np
 import pytest
 
 from qcorr import (
+    bipartite,
     density_of,
     find_discord_crossover,
     ghz_state,
     load_matrix,
     matrix_to_json,
     partial_trace,
+    random_mixed_state,
     state_to_json,
+    sweep_families,
+    tripartite,
     w_state,
 )
 from qcorr.cli import main
 from qcorr.qstate import PureState
 
 E_W_PAIR = 0.5500477595827576
+
+# discord2q --format json stdout on random_mixed_state(2, seed); compared with
+# ==, so any change in the searches' rounding shows
+DISCORD2Q_JSON = {
+    3: (
+        '{\n'
+        '  "measured": "b",\n'
+        '  "classical": 0.23249073675523907,\n'
+        '  "discord": 0.05061504320429627,\n'
+        '  "optimal_basis": {\n'
+        '    "theta": 1.5463446406492003,\n'
+        '    "phi": 3.648281445935509\n'
+        '  },\n'
+        '  "symmetrized_classical": 0.23249073675523907,\n'
+        '  "symmetrized_discord": 0.05061504320429627,\n'
+        '  "mutual_information": 0.28310577995953534\n'
+        '}\n'),
+    8: (
+        '{\n'
+        '  "measured": "b",\n'
+        '  "classical": 0.17168221991590926,\n'
+        '  "discord": 0.09092561251288556,\n'
+        '  "optimal_basis": {\n'
+        '    "theta": 1.484213350948738,\n'
+        '    "phi": 4.0368774660970725\n'
+        '  },\n'
+        '  "symmetrized_classical": 0.1717073468360114,\n'
+        '  "symmetrized_discord": 0.09090048559278341,\n'
+        '  "mutual_information": 0.2626078324287948\n'
+        '}\n'),
+}
 
 
 def run_main(capsys, *argv):
@@ -230,8 +265,24 @@ class TestSweep:
         ps = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert ps == ["0.000000", "0.400000", "0.700000"] * 2
         assert "no discord crossover in range" in err
-        assert find_discord_crossover(0.0, 0.7, 0.4) is None
-        assert 0.749 < find_discord_crossover(0.0, 0.76, 0.4) <= 0.76
+        grid = tripartite.sweep_grid
+        assert find_discord_crossover(sweep_families(grid(0.0, 0.7, 0.4))) is None
+        star = find_discord_crossover(sweep_families(grid(0.0, 0.76, 0.4)))
+        assert 0.749 < star <= 0.76
+
+    def test_crossover_reuses_the_rows(self, capsys, monkeypatch):
+        calls = []
+        real = tripartite.total_discord_pure
+
+        def counted(psi):
+            calls.append(psi)
+            return real(psi)
+
+        monkeypatch.setattr(tripartite, "total_discord_pure", counted)
+        code, _, err = run_main(capsys, "sweep", "both", "0", "1", "0.01")
+        assert code == 0
+        assert "discord crossover p* = 0.749336" in err
+        assert len(calls) == 14  # the bisection midpoints, two families each
 
     def test_range_validation(self, capsys):
         code, _, err = run_main(capsys, "sweep", "both", "0.8", "0.2", "0.1")
@@ -242,6 +293,9 @@ class TestSweep:
         code, _, err = run_main(capsys, "sweep", "both", "0", "1", "0")
         assert code == 1
         assert "positive" in err
+        code, _, err = run_main(capsys, "sweep", "both", "0", "1", "1e-300")
+        assert code == 1
+        assert "1e+300 grid points, more than 100001" in err
 
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):
         target = tmp_path / "missing_dir" / "sweep.csv"
@@ -371,6 +425,50 @@ class TestDiscord2q:
                                "b", "--format", "json")
         assert json.loads(out_a)["discord"] < 1e-8
         assert json.loads(out_b)["discord"] > 0.01
+
+    def test_dumped_reduction_measures_its_second_party(self, capsys, tmp_path):
+        directory = tmp_path / "red"
+        code, _, _ = run_main(capsys, "analyze", "w", "--dump-reductions",
+                              str(directory))
+        assert code == 0
+        path = str(directory / "reduction_ac.json")
+        code, out, err = run_main(capsys, "discord2q", path, "--format", "json")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["measured"] == "c"
+        assert abs(data["discord"] - E_W_PAIR) < 1e-6
+        code, out, _ = run_main(capsys, "discord2q", path, "--measured", "a",
+                                "--format", "json")
+        assert code == 0
+        assert json.loads(out)["measured"] == "a"
+        code, _, err = run_main(capsys, "discord2q", path, "--measured", "b")
+        assert code == 1
+        assert "unknown party 'b'" in err
+
+    def test_json_is_bit_identical_to_recorded_output(self, capsys, tmp_path):
+        # recorded when discord2q ran five searches instead of two
+        for seed, want in DISCORD2Q_JSON.items():
+            path = tmp_path / f"mixed{seed}.json"
+            path.write_text(matrix_to_json(random_mixed_state(2, seed)))
+            code, out, _ = run_main(capsys, "discord2q", str(path), "--format",
+                                    "json")
+            assert code == 0
+            assert out == want, seed
+
+    def test_one_search_per_direction(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = bipartite._min_conditional_entropy
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(bipartite, "_min_conditional_entropy", counted)
+        path = tmp_path / "mixed8.json"
+        path.write_text(matrix_to_json(random_mixed_state(2, 8)))
+        code, _, _ = run_main(capsys, "discord2q", str(path))
+        assert code == 0
+        assert calls == [1, 0]  # the measured slot first, then the other
 
     def test_non_psd_matrix(self, capsys, tmp_path):
         entries = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]

@@ -43,7 +43,7 @@ from qcorr import (
     total_information,
     w_state,
 )
-from qcorr.tripartite import CUT_PRODUCT_TOL, sweep_grid
+from qcorr.tripartite import CUT_PRODUCT_TOL, SWEEP_MAX_POINTS, sweep_grid
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 E_W_PAIR = 0.5500477595827576
@@ -557,20 +557,40 @@ class TestSweepAndCrossover:
             sweep_families([0.5], families=("ghz_tilde", "nope"))
 
     def test_crossover_location(self):
-        star = find_discord_crossover()
+        star = find_discord_crossover(sweep_families(sweep_grid(0, 1, 0.01)))
         assert star is not None
         assert abs(star - 0.749336) < 1e-3
+        # recorded when the crossover recomputed every grid point's discord
+        # instead of reading the rows' D values
+        assert repr(star) == "0.7493359374999999"
 
     def test_no_crossover_below_range(self):
-        assert find_discord_crossover(0.0, 0.5) is None
+        assert find_discord_crossover(sweep_families(sweep_grid(0, 0.5, 0.01))) is None
+        assert find_discord_crossover([]) is None
 
     def test_crossover_rejects_bad_ranges(self):
+        # the rows carry the range, so sweep_grid is where a bad one stops
         with pytest.raises(ValidationError, match="step 0.0 must be positive"):
-            find_discord_crossover(0.0, 1.0, 0.0)
+            sweep_grid(0.0, 1.0, 0.0)
         with pytest.raises(ValidationError, match="step nan must be positive"):
-            find_discord_crossover(0.0, 1.0, math.nan)
+            sweep_grid(0.0, 1.0, math.nan)
         with pytest.raises(ValidationError, match="p_min <= p_max"):
-            find_discord_crossover(0.8, 0.2)
+            sweep_grid(0.8, 0.2, 0.01)
+
+    def test_crossover_needs_both_families_at_each_p(self):
+        rows = sweep_families([0.7, 0.8])
+        with pytest.raises(ValidationError, match="both families' rows at p = 0.8"):
+            find_discord_crossover(rows[:-1])
+        with pytest.raises(ValidationError, match="p = 0.7"):
+            find_discord_crossover(sweep_families([0.7, 0.8], ("ghz_tilde",)))
+
+    def test_sweep_grid_bounds_the_point_count(self):
+        assert len(sweep_grid(0, 1, 1e-5)) == SWEEP_MAX_POINTS
+        # refused before any list is built: a 1e300-point list cannot exist
+        with pytest.raises(ValidationError, match="1e\\+300 grid points"):
+            sweep_grid(0, 1, 1e-300)
+        with pytest.raises(ValidationError, match="inf grid points"):
+            sweep_grid(0, 1, 5e-324)
 
     def test_sweep_grid_clamps_last_point(self):
         assert sweep_grid(0, 0.76, 0.4) == [0.0, 0.4, 0.76]
