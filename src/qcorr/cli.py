@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -53,14 +54,27 @@ def _parse_grid(text):
     return g, h
 
 
+def _nonnegative(convert):
+    """argparse type: convert(text), refused unless finite and >= 0 (nan too)."""
+    def parse(text):
+        x = convert(text)
+        if not 0 <= x < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} must be finite and "
+                                             f"nonnegative")
+        return x
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _add_optimizer_flags(sub):
     sub.add_argument("--grid", type=_parse_grid,
                      default=bipartite.GRID_DEFAULT, metavar="GxH",
                      help="theta x phi measurement grid (default 60x120)")
-    sub.add_argument("--refine-iters", type=int,
+    sub.add_argument("--refine-iters", type=_nonnegative(int),
                      default=bipartite.REFINE_ITERS_DEFAULT, metavar="N",
                      help="Nelder-Mead refinement iterations (default 200)")
-    sub.add_argument("--tol", type=float,
+    sub.add_argument("--tol", type=_nonnegative(float),
                      default=bipartite.REFINE_TOL_DEFAULT, metavar="X",
                      help="refinement convergence tolerance (default 1e-10)")
 

@@ -182,12 +182,16 @@ def eig_hermitian(m) -> Spectrum:
     Eigenvalues in [-1e-10, 0), which are numerical noise for positive
     semidefinite inputs, are clipped to zero and the clipped flag is set.
     More negative values pass through unchanged (the input may be a general
-    Hermitian operator).
+    Hermitian operator). Raw arrays must be Hermitian within HERM_TOL; a
+    DensityMatrix passed that check when it was built.
     """
-    arr = _as_array(m)
-    herm_dev = float(np.abs(arr - arr.conj().T).max())
-    if herm_dev > HERM_TOL:
-        raise ValidationError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
+    if isinstance(m, DensityMatrix):
+        arr = m.matrix  # checked against HERM_TOL when built, then frozen
+    else:
+        arr = np.asarray(m, complex)
+        herm_dev = float(np.abs(arr - arr.conj().T).max())
+        if herm_dev > HERM_TOL:
+            raise ValidationError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
     vals = np.linalg.eigvalsh(arr)[::-1].copy()
     noise = (vals < 0.0) & (vals >= -EIG_CLIP)
     clipped = bool(noise.any())

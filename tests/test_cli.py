@@ -510,6 +510,35 @@ class TestParserBehavior:
                 main(["analyze", "ghz", "--grid", bad])
             assert exc.value.code == 1
 
+    def test_bad_optimizer_flags(self):
+        for flag, bad in (("--refine-iters", "-5"), ("--refine-iters", "2.5"),
+                          ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
+                          ("--tol", "x")):
+            for command in (["analyze", "ghz"], ["verify"],
+                            ["discord2q", "m.json"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(command + [flag, bad])
+                assert exc.value.code == 1, (command, flag, bad)
+
+    def test_zero_refine_iters_runs_no_simplex_iteration(self, capsys, tmp_path):
+        red = partial_trace(random_mixed_state(3, 4), ["a", "b"])
+        path = tmp_path / "red.json"
+        path.write_text(matrix_to_json(red))
+        code, out, _ = run_main(capsys, "discord2q", str(path), "--format",
+                                "json", "--refine-iters", "0", "--tol", "0")
+        assert code == 0
+        got = json.loads(out)["classical"]
+        assert got == bipartite.classical_correlation_directional(
+            red, "b", refine_iters=0, tol=0.0).value
+        # no worse than the grid point, short of the refined default
+        th, _, vectors = bipartite._bloch_grid(*bipartite.GRID_DEFAULT)
+        outcomes = np.empty((th.size, 2, 2, 2), dtype=complex)
+        grid_min = bipartite._outcome_entropy_sum(
+            bipartite._conditioner(red.matrix, 1)(vectors, outcomes)).min()
+        s_a = bipartite.von_neumann_entropy(partial_trace(red, ["a"]))
+        assert s_a - grid_min <= got < bipartite.classical_correlation_directional(
+            red, "b").value
+
     def test_bad_format_choice(self):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "ghz", "--format", "xml"])

@@ -154,6 +154,19 @@ class TestSpectraAndEntropies:
         assert spec.clipped
         assert spec.eigenvalues[-1] == 0.0
 
+    def test_eig_rejects_non_hermitian_raw_array(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            eig_hermitian(np.array([[0.5, 1e-9], [0.0, 0.5]]))
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            von_neumann_entropy(np.array([[0.5, 1j], [1j, 0.5]]))
+
+    def test_eig_density_matrix_matches_its_raw_array(self):
+        rho = random_mixed_state(3, 4)
+        got = eig_hermitian(rho)
+        want = eig_hermitian(np.array(rho.matrix))
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.clipped == want.clipped
+
     def test_eig_no_clip_needed(self):
         spec = eig_hermitian(np.diag([0.25, 0.75]))
         assert not spec.clipped

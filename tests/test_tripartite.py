@@ -43,7 +43,9 @@ from qcorr import (
     total_information,
     w_state,
 )
+from qcorr import tripartite
 from qcorr.tripartite import CUT_PRODUCT_TOL, SWEEP_MAX_POINTS, sweep_grid
+from qcorr.verify import _haar_local_unitary
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 E_W_PAIR = 0.5500477595827576
@@ -473,6 +475,22 @@ class TestMixedReports:
         # projective optimum realizes the POVM closed form on these states
         assert abs(optimized - closed) < 1e-6
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_locally_rotated_classical_state_is_all_classical(self, seed):
+        # (U_a U_b U_c) diag(p) (U_a U_b U_c)^dagger: measuring each party in
+        # its rotated basis loses nothing, so J = T, J2 = T2 and D = D2 = 0
+        rng = np.random.default_rng(seed)
+        p = rng.random(8)
+        u = np.kron(np.kron(_haar_local_unitary(rng), _haar_local_unitary(rng)),
+                    _haar_local_unitary(rng))
+        rep = correlation_report(DensityMatrix(u @ np.diag(p / p.sum())
+                                               @ u.conj().T))
+        assert rep.method == "optimizer"
+        assert abs(rep.J - rep.T) <= 1e-9
+        assert abs(rep.D) <= 1e-9
+        assert abs(rep.D2) <= 1e-9
+        assert abs(rep.J2 - rep.T2) <= 1e-9
+
 
 class TestDoubleConditional:
     def test_ghz_z_measurements_leave_pure_outcomes(self):
@@ -532,6 +550,20 @@ class TestDoubleConditional:
     def test_mixed_report_is_bit_identical_to_recorded_values(self):
         report = correlation_report(random_mixed_state(3, 0))
         assert repr(report.to_dict()) == MIXED_REPORT_0_REPR
+
+    @pytest.mark.parametrize("grid, chunk", [(7, 49), (10, 100), (7, 10),
+                                             (30, 36)])
+    def test_grid_values_do_not_depend_on_the_block(self, grid, chunk):
+        # the block only bounds the memory of one pass; a block size that
+        # moved any value could move the Nelder-Mead start point
+        t, r_k = tripartite._measured_tensor(random_mixed_state(3, 5), "b", "test")
+        u_vecs = tripartite._bloch_grid(grid, grid)[2]
+        starts = range(0, len(u_vecs), chunk)
+        whole = tripartite._chunk_filler(t, r_k, u_vecs, chunk, chunk)
+        want = [whole(start).tobytes() for start in starts]
+        for block in (1, 3, 8):
+            blocked = tripartite._chunk_filler(t, r_k, u_vecs, chunk, block)
+            assert [blocked(start).tobytes() for start in starts] == want, block
 
     def test_double_entropy_is_bit_identical_to_recorded_values(self):
         states = (random_mixed_state(3, 5), random_mixed_state(3, 17))
