@@ -16,8 +16,12 @@ import numpy as np
 
 from .errors import InternalInvariantError, UnsupportedInputError, ValidationError
 from .qstate import (
+    OPTIMIZER_SLACK,
+    ROUNDING_SLACK,
     DensityMatrix,
     PureState,
+    _clamp_unit,
+    _floor_zero,
     binary_entropy,
     density_of,
     partial_trace,
@@ -28,7 +32,6 @@ GRID_DEFAULT = (60, 120)
 REFINE_ITERS_DEFAULT = 200
 REFINE_TOL_DEFAULT = 1e-10
 TIE_TOL = 1e-10
-DISCORD_CLIP = 1e-6
 
 _SY = np.array([[0.0, -1.0], [1.0, 0.0]])  # i*sigma_y, real
 _YY = np.kron(_SY, _SY)  # sigma_y (x) sigma_y up to a global sign squared away
@@ -79,7 +82,7 @@ class DirectionalResult:
     method: str
 
     def __post_init__(self):
-        if self.value < -1e-9:
+        if not self.value >= -ROUNDING_SLACK:
             raise InternalInvariantError(f"negative correlation {self.value!r}")
 
 
@@ -132,10 +135,7 @@ def one_to_rest_concurrence(rho_i: DensityMatrix) -> float:
 
 def eof_from_concurrence(c: float) -> float:
     """E = h[(1 + sqrt(1 - C^2)) / 2], monotone in C, E(0)=0, E(1)=1."""
-    c = float(c)
-    if c < -1e-12 or c > 1.0 + 1e-12:
-        raise ValidationError(f"concurrence {c!r} outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
+    c = _clamp_unit(c, "concurrence")
     return binary_entropy((1.0 + math.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
 
 
@@ -298,20 +298,13 @@ def classical_correlation_directional(
     other = rho_ab.parties[1 - slot]
     s_other = von_neumann_entropy(partial_trace(rho_ab, [other]))
     cond, basis = _min_conditional_entropy(rho_ab, slot, grid, refine_iters, tol)
-    value = s_other - cond
-    if value < -1e-9:
-        raise InternalInvariantError(
-            f"classical correlation {value!r} below zero beyond tolerance"
-        )
-    return DirectionalResult(max(0.0, value), basis, "optimizer")
+    return DirectionalResult(_floor_zero(s_other - cond, "classical correlation"),
+                             basis, "optimizer")
 
 
 def discord_from(mi, classical) -> float:
     """D = I - J floored at zero; below -1e-6 the optimizer has failed."""
-    value = mi - classical
-    if value < -DISCORD_CLIP:
-        raise InternalInvariantError(f"discord {value!r} below -1e-6")
-    return max(0.0, value)
+    return _floor_zero(mi - classical, "discord", OPTIMIZER_SLACK)
 
 
 def discord_directional(
@@ -387,17 +380,11 @@ def _kw_parts(psi, i, j, what):
 def koashi_winter_classical(psi, i, j) -> float:
     """Closed form J_{i:j} = S(rho_i) - E(rho_{i,k}) for pure tripartite psi."""
     ent, e_ik, _ = _kw_parts(psi, i, j, "koashi_winter_classical")
-    value = ent[str(i)] - e_ik
-    if value < -1e-9:
-        raise InternalInvariantError(f"closed-form classical correlation {value!r} < 0")
-    return max(0.0, value)
+    return _floor_zero(ent[str(i)] - e_ik, "closed-form classical correlation")
 
 
 def koashi_winter_discord(psi, i, j) -> float:
     """Closed form D_{i:j} = S(rho_j) - S(rho_k) + E(rho_{i,k})."""
     ent, e_ik, k = _kw_parts(psi, i, j, "koashi_winter_discord")
-    value = ent[str(j)] - ent[k] + e_ik
-    if value < -1e-9:
-        raise InternalInvariantError(f"closed-form discord {value!r} < 0")
-    return max(0.0, value)
+    return _floor_zero(ent[str(j)] - ent[k] + e_ik, "closed-form discord")
 

@@ -16,14 +16,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import InternalInvariantError, ParseError, ValidationError
 
 NORM_TOL = 1e-10
 HERM_TOL = 1e-10
 EIG_CLIP = 1e-10
 FILE_NORM_TOL = 1e-8
+ROUNDING_SLACK = 1e-9  # how far a closed form or entropy sum may round below 0
+OPTIMIZER_SLACK = 1e-6  # the same for measurement-search results
 
 LOG2 = math.log(2.0)
+
+
+def _floor_zero(x, what, slack=ROUNDING_SLACK):
+    """max(0.0, x) of a nonnegative quantity; nan or x below -slack raises."""
+    x = float(x)
+    if not x >= -slack:  # nan fails too
+        bound = f"{slack:.0e}".replace("e-0", "e-")
+        raise InternalInvariantError(f"{what} {x!r} below -{bound}")
+    return max(0.0, x)
+
+
+def _clamp_unit(x, what):
+    """x clamped to [0, 1]; nan or a value beyond 1e-12 outside raises."""
+    x = float(x)
+    if not -1e-12 <= x <= 1.0 + 1e-12:  # nan fails too
+        raise ValidationError(f"{what} {x!r} outside [0, 1]")
+    return min(max(x, 0.0), 1.0)
 
 
 def _default_labels(n):
@@ -45,7 +64,7 @@ class PureState:
                 f"amplitude vector length {amp.size} is not a power of two"
             )
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # nan fails too
             raise ValidationError(f"state vector norm {norm!r} deviates from 1")
         if labels is None:
             labels = _default_labels(n)
@@ -82,13 +101,13 @@ class DensityMatrix:
                 f"dimension {m.shape[0]} is not a power of two qubit dimension"
             )
         herm_dev = float(np.abs(m - m.conj().T).max())
-        if herm_dev > HERM_TOL:
+        if not herm_dev <= HERM_TOL:  # nan fails each test, before eigvalsh
             raise ValidationError(f"hermiticity violated by {herm_dev:.3e}")
         tr_dev = abs(complex(np.trace(m)) - 1.0)
-        if tr_dev > HERM_TOL:
+        if not tr_dev <= HERM_TOL:
             raise ValidationError(f"unit trace violated by {tr_dev:.3e}")
         min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -EIG_CLIP:
+        if not min_eig >= -EIG_CLIP:
             raise ValidationError(f"positivity violated: eigenvalue {min_eig:.3e}")
         if parties is None:
             parties = _default_labels(n)
@@ -190,7 +209,7 @@ def eig_hermitian(m) -> Spectrum:
     else:
         arr = np.asarray(m, complex)
         herm_dev = float(np.abs(arr - arr.conj().T).max())
-        if herm_dev > HERM_TOL:
+        if not herm_dev <= HERM_TOL:  # nan fails too
             raise ValidationError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
     vals = np.linalg.eigvalsh(arr)[::-1].copy()
     noise = (vals < 0.0) & (vals >= -EIG_CLIP)
@@ -212,10 +231,7 @@ def von_neumann_entropy(rho) -> float:
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x); symmetric about 1/2."""
-    x = float(x)
-    if x < -1e-12 or x > 1.0 + 1e-12:
-        raise ValidationError(f"binary entropy argument {x!r} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
+    x = _clamp_unit(x, "binary entropy argument")
     if x == 0.0 or x == 1.0:
         return 0.0
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))

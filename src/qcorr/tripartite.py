@@ -19,8 +19,12 @@ import numpy as np
 
 from .errors import InternalInvariantError, UnsupportedInputError, ValidationError
 from .qstate import (
+    OPTIMIZER_SLACK,
+    ROUNDING_SLACK,
     DensityMatrix,
     PureState,
+    _clamp_unit,
+    _floor_zero,
     density_of,
     partial_trace,
     permute_parties,
@@ -104,7 +108,7 @@ class CorrelationReport:
 
     def __post_init__(self):
         # optimizer results carry grid/refinement noise; closed forms do not
-        slack = 1e-9 if self.method == "closed-form" else 1e-6
+        slack = ROUNDING_SLACK if self.method == "closed-form" else OPTIMIZER_SLACK
         checks = [self.T3 - (self.T - self.T2), self.J3 - (self.J - self.J2),
                   self.D3 - (self.D - self.D2)]
         if self.method == "closed-form":
@@ -152,7 +156,7 @@ class AcinForm:
         if min(lams) < -1e-12:
             raise ValidationError(f"negative coefficient in {lams!r}")
         total = sum(x * x for x in lams)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:  # nan fails too
             raise ValidationError(f"coefficient squares sum to {total!r}, not 1")
         if not -1e-12 <= self.theta < 2 * math.pi + 1e-12:
             raise ValidationError(f"theta {self.theta!r} outside [0, 2*pi)")
@@ -203,10 +207,7 @@ def total_information(rho) -> float:
     """T = S(rho_a) + S(rho_b) + S(rho_c) - S(rho)."""
     rho = _as_three_party(rho, "total_information")
     s1 = [von_neumann_entropy(partial_trace(rho, [x])) for x in rho.parties]
-    value = sum(s1) - von_neumann_entropy(rho)
-    if value < -1e-9:
-        raise InternalInvariantError(f"total information {value!r} < 0")
-    return max(0.0, value)
+    return _floor_zero(sum(s1) - von_neumann_entropy(rho), "total information")
 
 
 def canonical_ordering(rho) -> PartyOrdering:
@@ -227,7 +228,9 @@ def _ordering(labels, pair_i):
         i_xz = _pair_lookup(pair_i, x, z)
         i_yz = _pair_lookup(pair_i, y, z)
         if i_xy >= i_xz - TIE_TOL and i_xz >= i_yz - TIE_TOL:
-            return PartyOrdering(perm, (i_xy, i_xz, i_yz))
+            # floored only after the raw values have chosen the permutation
+            return PartyOrdering(perm, tuple(_floor_zero(x, "mutual information")
+                                             for x in (i_xy, i_xz, i_yz)))
     raise InternalInvariantError("no permutation orders the mutual informations")
 
 
@@ -235,8 +238,7 @@ def genuine_total(rho) -> float:
     """T3 = T - max pairwise mutual information."""
     rho = _as_three_party(rho, "genuine_total")
     _, _, pair_i = _entropies_and_pairs(rho)
-    value = total_information(rho) - max(pair_i.values())
-    return max(0.0, value)
+    return _floor_zero(total_information(rho) - max(pair_i.values()), "T3")
 
 
 def genuine_total_via_relative_entropy(rho) -> float:
@@ -307,7 +309,7 @@ class _ClosedForm:
 
     def bipartite_classical(self):
         _, b, c = self.abc
-        return max(0.0, self.s(b) - self.e(b, c))
+        return _floor_zero(self.s(b) - self.e(b, c), "J2")
 
     def bipartite_discord(self):
         a, b, c = self.abc
@@ -323,20 +325,21 @@ class _ClosedForm:
 def _cut_mutual(abc, s1, pair_rho, s_rho):
     """I(xy:z) across the cuts ab|c, ac|b and bc|a of the ordering abc."""
     a, b, c = abc
-    return tuple(von_neumann_entropy(_pair_lookup(pair_rho, x, y)) + s1[z] - s_rho
+    return tuple(_floor_zero(von_neumann_entropy(_pair_lookup(pair_rho, x, y))
+                             + s1[z] - s_rho, "cut mutual information")
                  for x, y, z in ((a, b, c), (a, c, b), (b, c, a)))
 
 
 def total_classical_pure(psi) -> float:
     """J = S(rho_b) + S(rho_c) - E(rho_bc) in the canonical ordering."""
-    return max(0.0, _ClosedForm(_pure_three(psi, "total_classical_pure"))
-               .total_classical())
+    return _floor_zero(_ClosedForm(_pure_three(psi, "total_classical_pure"))
+                       .total_classical(), "J")
 
 
 def total_discord_pure(psi) -> float:
     """D = S(rho_a) + E(rho_bc) in the canonical ordering."""
-    return max(0.0, _ClosedForm(_pure_three(psi, "total_discord_pure"))
-               .total_discord())
+    return _floor_zero(_ClosedForm(_pure_three(psi, "total_discord_pure"))
+                       .total_discord(), "D")
 
 
 def bipartite_parts_pure(psi) -> tuple:
@@ -351,7 +354,7 @@ def bipartite_parts_pure(psi) -> tuple:
     disagree, and the definition wins).
     """
     cf = _ClosedForm(_pure_three(psi, "bipartite_parts_pure"))
-    return cf.bipartite_classical(), max(0.0, cf.bipartite_discord())
+    return cf.bipartite_classical(), _floor_zero(cf.bipartite_discord(), "D2")
 
 
 def genuine_classical(psi) -> float:
@@ -374,9 +377,7 @@ def three_tangle(psi) -> float:
     for other in psi.labels[1:]:
         c_pair = concurrence(partial_trace(rho, [first, other]))
         tau -= c_pair * c_pair
-    if tau < -1e-9:
-        raise InternalInvariantError(f"residual tangle {tau!r} < 0")
-    return max(0.0, tau)
+    return _floor_zero(tau, "residual tangle")
 
 
 def acin_state(form: AcinForm, labels=None) -> PureState:
@@ -409,16 +410,9 @@ def w_state(labels=None) -> PureState:
     return PureState(amp, labels)
 
 
-def _check_p(p):
-    p = float(p)
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValidationError(f"p {p!r} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
-
-
 def family_ghz_tilde(p: float, labels=None) -> PureState:
     """sqrt(p) GHZ + sqrt(1-p) |100>; the branches are orthogonal."""
-    p = _check_p(p)
+    p = _clamp_unit(p, "p")
     amp = np.zeros(8, dtype=complex)
     amp[0b000] = amp[0b111] = math.sqrt(p / 2.0)
     amp[0b100] = math.sqrt(1.0 - p)
@@ -427,7 +421,7 @@ def family_ghz_tilde(p: float, labels=None) -> PureState:
 
 def family_w_tilde(p: float, labels=None) -> PureState:
     """sqrt(p) W + sqrt(1-p) |000>; the branches are orthogonal."""
-    p = _check_p(p)
+    p = _clamp_unit(p, "p")
     amp = np.zeros(8, dtype=complex)
     amp[0b001] = amp[0b010] = amp[0b100] = math.sqrt(p / 3.0)
     amp[0b000] = math.sqrt(1.0 - p)
@@ -458,12 +452,6 @@ def correlation_report(state, require_pure=False, grid=GRID_DEFAULT,
     return _report_mixed(rho, grid, refine_iters, tol)
 
 
-def _clip(x, slack=1e-9):
-    if x < -slack:
-        raise InternalInvariantError(f"negative quantifier {x!r}")
-    return max(0.0, float(x))
-
-
 def _report_pure(psi):
     cf = _ClosedForm(psi)
     # the cuts are computed twice: for the D2 branch and for the report field
@@ -478,7 +466,7 @@ def _report_mixed(rho, grid, refine_iters, tol):
     s1, pair_rho, pair_i = _entropies_and_pairs(rho)
     s_rho = von_neumann_entropy(rho)
     order = _ordering(rho.parties, pair_i)
-    t = _clip(sum(s1.values()) - s_rho)  # floored like total_information
+    t = _floor_zero(sum(s1.values()) - s_rho, "T")  # floored like total_information
     kwargs = dict(grid=grid, refine_iters=refine_iters, tol=tol)
     j = total_classical_mixed(rho, **kwargs)
     j2 = max(symmetrized_classical(red, **kwargs) for red in pair_rho.values())
@@ -494,13 +482,14 @@ def _assemble_report(t, j, d, j2, d2, order, cut, tangle):
     zero by the 1e-6 optimizer noise budget instead of the closed forms' 1e-9.
     """
     pure = tangle is not None
-    soft = 1e-9 if pure else 1e-6
+    soft = ROUNDING_SLACK if pure else OPTIMIZER_SLACK
     t2 = order.sorted_mutual_infos[0]
     return CorrelationReport(
-        T=_clip(t), J=_clip(j, soft), D=_clip(d, soft),
-        T2=_clip(t2), T3=_clip(t - t2),
-        J2=_clip(j2, soft), J3=_clip(j - j2, soft),
-        D2=_clip(d2, soft), D3=_clip(d - d2, soft),
+        T=_floor_zero(t, "T"), J=_floor_zero(j, "J", soft),
+        D=_floor_zero(d, "D", soft),
+        T2=_floor_zero(t2, "T2"), T3=_floor_zero(t - t2, "T3"),
+        J2=_floor_zero(j2, "J2", soft), J3=_floor_zero(j - j2, "J3", soft),
+        D2=_floor_zero(d2, "D2", soft), D3=_floor_zero(d - d2, "D3", soft),
         tangle=tangle,
         pairwise_mutual=order.sorted_mutual_infos,
         cut_mutual=cut,
@@ -793,7 +782,7 @@ def genuine_total_n(psi) -> float:
     best = min(von_neumann_entropy(partial_trace(rho, part))
                + von_neumann_entropy(partial_trace(rho, comp)) - s_rho
                for part, comp in _bipartitions(psi.labels))
-    return max(0.0, best)
+    return _floor_zero(best, "genuine total")
 
 
 def _bipartitions(labels):

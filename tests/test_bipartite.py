@@ -240,6 +240,10 @@ class TestEntanglementOfFormation:
         with pytest.raises(ValidationError):
             eof_from_concurrence(1.5)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError, match=r"concurrence nan outside \[0, 1\]"):
+            eof_from_concurrence(math.nan)
+
 
 class TestConditionalEntropy:
     def test_bell_z_measurement(self):

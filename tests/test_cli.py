@@ -562,3 +562,13 @@ class TestProcessEntryPoints:
     def test_flag_error_exit_code(self):
         proc = run_process("verify", "--samples", "abc")
         assert proc.returncode == 1
+
+
+class TestNanInput:
+    def test_nan_acin_coefficient_is_a_validation_error(self):
+        proc = run_process("analyze", "acin:nan,0.1,0.1,0.1,0.69")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("qcorr: ")
+        assert "nan" in proc.stderr
+        assert "Traceback" not in proc.stderr

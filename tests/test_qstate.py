@@ -309,3 +309,65 @@ class TestStateSerialization:
         path.write_text(state_to_json(psi))
         back = load_state(path)
         np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-15)
+
+
+class TestNonnegativePolicy:
+    def test_floor_passes_nonnegative_values_through(self):
+        from qcorr.qstate import _floor_zero
+
+        for x in (0.0, 5e-324, 1e-17, 0.1, 2.0, 1e300, math.inf):
+            assert repr(_floor_zero(x, "x")) == repr(x)
+        assert type(_floor_zero(np.float64(0.25), "x")) is float
+
+    def test_floor_zeroes_noise_within_each_slack(self):
+        from qcorr.qstate import OPTIMIZER_SLACK, ROUNDING_SLACK, _floor_zero
+
+        for slack in (ROUNDING_SLACK, OPTIMIZER_SLACK):
+            for x in (-0.0, -1e-300, -0.5 * slack, -slack):
+                got = _floor_zero(x, "x", slack)
+                assert got == 0.0 and math.copysign(1.0, got) > 0.0
+        assert _floor_zero(-1e-7, "x", OPTIMIZER_SLACK) == 0.0
+
+    def test_floor_rejects_failures_and_nan(self):
+        from qcorr import InternalInvariantError
+        from qcorr.qstate import OPTIMIZER_SLACK, _floor_zero
+
+        with pytest.raises(InternalInvariantError, match="T -2e-09 below -1e-9"):
+            _floor_zero(-2e-9, "T")
+        with pytest.raises(InternalInvariantError, match="below -1e-6"):
+            _floor_zero(-2e-6, "discord", OPTIMIZER_SLACK)
+        for x in (math.nan, -math.inf):
+            with pytest.raises(InternalInvariantError):
+                _floor_zero(x, "x")
+
+    def test_clamp_unit(self):
+        from qcorr.qstate import _clamp_unit
+
+        assert _clamp_unit(-1e-12, "p") == 0.0
+        assert _clamp_unit(1.0 + 1e-12, "p") == 1.0
+        assert repr(_clamp_unit(0.3, "p")) == "0.3"
+        for x in (math.nan, -2e-12, 1.0 + 2e-12, math.inf):
+            with pytest.raises(ValidationError, match=r"p .* outside \[0, 1\]"):
+                _clamp_unit(x, "p")
+
+    def test_binary_entropy_rejects_nan(self):
+        with pytest.raises(ValidationError, match="binary entropy argument nan"):
+            binary_entropy(math.nan)
+
+
+class TestNanInputs:
+    def test_pure_state_rejects_nan(self):
+        with pytest.raises(ValidationError, match="norm nan"):
+            PureState(np.full(8, np.nan))
+
+    def test_density_matrix_rejects_nan_before_eigensolve(self):
+        with pytest.raises(ValidationError, match="hermiticity violated by nan"):
+            DensityMatrix(np.full((4, 4), np.nan))
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 0] = np.nan
+        with pytest.raises(ValidationError):
+            DensityMatrix(m)
+
+    def test_eig_hermitian_rejects_nan_raw_array(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            eig_hermitian(np.full((2, 2), np.nan))

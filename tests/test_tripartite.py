@@ -288,6 +288,10 @@ class TestNamedStates:
         with pytest.raises(ValidationError):
             AcinForm(0.5, 0.5, 0.5, 0.3, 0.4, theta=7.0)
 
+    def test_acin_rejects_nan(self):
+        with pytest.raises(ValidationError, match="sum to nan"):
+            AcinForm(math.nan, 0.1, 0.1, 0.1, 0.69)
+
     def test_family_endpoints(self):
         np.testing.assert_allclose(family_ghz_tilde(1.0).amplitudes,
                                    ghz_state().amplitudes, atol=1e-15)
@@ -301,6 +305,11 @@ class TestNamedStates:
             family_ghz_tilde(1.2)
         with pytest.raises(ValidationError):
             family_w_tilde(-0.1)
+
+    def test_family_rejects_nan(self):
+        for build in (family_ghz_tilde, family_w_tilde):
+            with pytest.raises(ValidationError, match=r"p nan outside \[0, 1\]"):
+                build(math.nan)
 
 
 class TestClosedFormReports:
@@ -338,6 +347,21 @@ class TestClosedFormReports:
                   "J2": 1.0, "J3": 0.0, "D2": 0.0, "D3": 1.0, "tangle": 0.0}
         for key, val in expect.items():
             assert abs(getattr(rep, key) - val) < 1e-9, key
+
+    def test_spectator_mutual_informations_are_floored_at_zero(self):
+        # taken through the density matrix and its dominant eigenvector, as
+        # the report does, the two vanishing pairwise and the vanishing cut
+        # mutual informations round to about -3.3e-16
+        rho = density_of(bell_with_spectator())
+        raw = tripartite._entropies_and_pairs(density_of(tripartite.to_pure(rho)))[2]
+        assert min(raw.values()) < 0.0
+        rep = correlation_report(rho)
+        assert rep.ordering.permutation == ("b", "c", "a")
+        assert rep.pairwise_mutual == rep.ordering.sorted_mutual_infos
+        assert rep.pairwise_mutual[1:] == (0.0, 0.0)
+        assert rep.cut_mutual[0] == 0.0
+        assert min(rep.pairwise_mutual + rep.cut_mutual) >= 0.0
+        assert rep.D2 == 0.0  # the degenerate branch, as on unfloored cuts
 
     def test_report_and_accessors_are_bit_identical_to_recorded_values(self):
         for key, (report_repr, parts_repr) in PURE_REPR.items():
