@@ -9,6 +9,7 @@ pure three-qubit states are provided for cross-checking the optimizer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,50 +153,84 @@ def _h2_vec(lam):
     return np.where((lam > 0.0) & (lam < 1.0), h, 0.0)
 
 
-def _outcome_entropy(m00, m01, m10, m11):
-    """p S(m/p) of unnormalized 2x2 states m, given entry by entry."""
-    # complex sums act on real and imaginary parts apart, so only the
-    # products need complex arithmetic; the in-place steps are the IEEE
-    # operations of lam = (p + sqrt(max(p*p - 4 det, 0))) / (2 p), in order
-    p = m00.real + m11.real
-    det = np.subtract((m00 * m11).real, (m01 * m10).real)
-    lam = p * p
-    lam -= np.multiply(det, 4.0, out=det)
-    np.sqrt(np.maximum(lam, 0.0, out=lam), out=lam)
-    lam += p
+def _outcome_entropies(w, weight):
+    """p h((1 + |w_vec| / w_0) / 2) per outcome, p = weight * w_0, for planes w[0..3].
+
+    w holds the Pauli components of the unnormalized conditional states;
+    outcomes with p at or below 1e-12 give 0.
+    """
+    w0 = w[0]
+    p = w0 * weight
+    lam = w[1] * w[1]
+    lam += w[2] * w[2]
+    lam += w[3] * w[3]
+    np.sqrt(lam, out=lam)
     valid = p > 1e-12
-    safe = np.where(valid, p, 1.0)
-    lam /= np.multiply(safe, 2.0, out=safe)
+    lam /= np.where(valid, w0, 1.0)
+    lam += 1.0
+    lam *= 0.5
     h = _h2_vec(lam)
     h *= p
     return np.where(valid, h, 0.0)
 
 
-def _outcome_entropy_sum(conditionals):
-    """Sum of p_i S(rho_i/p_i) over a batch of unnormalized 2x2 outcomes."""
-    c = conditionals
-    return _outcome_entropy(c[..., 0, 0], c[..., 0, 1], c[..., 1, 0],
-                            c[..., 1, 1]).sum(axis=-1)
+def _outcome_entropy(w, weight):
+    """One outcome of _outcome_entropies, in plain floats."""
+    w0, w1, w2, w3 = w
+    p = weight * w0
+    if not p > 1e-12:
+        return 0.0
+    lam = (1.0 + math.sqrt(w1 * w1 + w2 * w2 + w3 * w3) / w0) * 0.5
+    return p * binary_entropy(min(lam, 1.0))
 
 
-def _conditioner(matrix, slot):
-    """f(vectors, out): unnormalized post-measurement states of the other qubit.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                   [[1, 0], [0, -1]]])
 
-    f writes the states after outcome vectors (..., 2) and after their
-    orthogonal complements on the outcome axis -3 of out, (..., 2, 2, 2).
+
+def _pauli_tensor(matrix, slots):
+    """R[mu, nu, ...] = Tr rho (sigma_mu (x) sigma_nu (x) ...), parties in slots order.
+
+    R is real because rho is Hermitian. Outcome a = +-1 of measuring the first
+    party along the Bloch vector u leaves the others with the tensor
+    R[0] + a u.R[1:], up to normalization; both searches evaluate that.
     """
-    tensor = matrix.reshape(2, 2, 2, 2)
-    if slot == 1:
-        spec, marginal = "...j,ijkl,...l->...ik", np.einsum("ijkj->ik", tensor)
-    else:
-        spec, marginal = "...i,ijkl,...k->...jl", np.einsum("ijil->jl", tensor)
+    n = len(slots)
+    rows, cols, out = "abc"[:n], "ABC"[:n], "mnl"[:n]
+    spec = (rows + cols + "".join(f",{o}{c}{r}" for r, c, o in zip(rows, cols, out))
+            + "->" + out)
+    t = matrix.reshape((2,) * (2 * n)).transpose(list(slots) + [n + s for s in slots])
+    return np.ascontiguousarray(np.einsum(spec, t, *[_PAULI] * n).real)
 
-    def conditioned(vectors, out):
-        out[..., 0, :, :] = np.einsum(spec, vectors.conj(), tensor, vectors)
-        np.subtract(marginal, out[..., 0, :, :], out=out[..., 1, :, :])
-        return out
 
-    return conditioned
+def _bloch_xyz(theta, phi):
+    s = math.sin(theta)
+    return s * math.cos(phi), s * math.sin(phi), math.cos(theta)
+
+
+def _condition(r_rows, u):
+    """(R_0 + u.R, R_0 - u.R) from the rows R_0..R_3 of a Pauli tensor's first axis."""
+    r0, r1, r2, r3 = r_rows
+    ux, uy, uz = u
+    d = [ux * a + uy * b + uz * c for a, b, c in zip(r1, r2, r3)]
+    return [a + b for a, b in zip(r0, d)], [a - b for a, b in zip(r0, d)]
+
+
+def _one_angle_objective(r):
+    """f(x): S(other | measured along Bloch angles x), from the 4x4 tensor r."""
+    r_rows = r.tolist()
+
+    def entropy(x):
+        return sum(_outcome_entropy(w, 0.5)
+                   for w in _condition(r_rows, _bloch_xyz(x[0], x[1])))
+
+    return entropy
+
+
+def _one_angle_values(r, rows):
+    """_one_angle_objective at each Bloch vector of the outcome rows, vectorized."""
+    h = _outcome_entropies(r.T @ rows.T, 0.5)
+    return h[0::2] + h[1::2]
 
 
 def conditional_entropy_measured(
@@ -210,9 +245,8 @@ def conditional_entropy_measured(
     if measured_party is None:
         measured_party = rho_ab.parties[1]
     slot = _party_slot(rho_ab, measured_party)
-    cond = _conditioner(rho_ab.matrix, slot)(basis.vector(),
-                                             np.empty((2, 2, 2), dtype=complex))
-    return float(_outcome_entropy_sum(cond))
+    r = _pauli_tensor(rho_ab.matrix, [slot, 1 - slot])
+    return _one_angle_objective(r)((basis.theta, basis.phi))
 
 
 def _party_slot(rho, party):
@@ -232,16 +266,25 @@ def _normalize_angles(theta, phi):
     return theta, phi % (2.0 * math.pi)
 
 
+@functools.lru_cache(maxsize=8)
 def _bloch_grid(n_theta, n_phi):
-    """(theta, phi, _bloch_vector) at each point of the theta-major angle grid."""
+    """(theta, phi, outcome rows) of the theta-major angle grid, read-only.
+
+    The outcome rows of point i are rows 2i and 2i+1: (1, u) and (1, -u) for
+    its Bloch vector u.
+    """
     thetas = np.linspace(0.0, math.pi, int(n_theta))
     phis = np.linspace(0.0, 2.0 * math.pi, int(n_phi), endpoint=False)
     th = np.repeat(thetas, phis.size)
     ph = np.tile(phis, thetas.size)
-    vectors = np.empty((th.size, 2), dtype=complex)
-    vectors[:, 0] = np.cos(th / 2.0)
-    vectors[:, 1] = np.exp(1j * ph) * np.sin(th / 2.0)
-    return th, ph, vectors
+    u = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1)
+    rows = np.ones((th.size, 2, 4))
+    rows[:, 0, 1:] = u
+    rows[:, 1, 1:] = -u
+    rows = rows.reshape(-1, 4)
+    for a in (th, ph, rows):
+        a.setflags(write=False)
+    return th, ph, rows
 
 
 def _nelder_mead(objective, x0, refine_iters, tol):
@@ -255,10 +298,9 @@ def _nelder_mead(objective, x0, refine_iters, tol):
 
 def _min_conditional_entropy(rho, slot, grid, refine_iters, tol):
     """Grid scan plus simplex refinement; returns (value, basis)."""
-    th, ph, vectors = _bloch_grid(*grid)
-    conditioned = _conditioner(rho.matrix, slot)
-    values = _outcome_entropy_sum(
-        conditioned(vectors, np.empty((th.size, 2, 2, 2), dtype=complex)))
+    th, ph, rows = _bloch_grid(*grid)
+    r = _pauli_tensor(rho.matrix, [slot, 1 - slot])
+    values = _one_angle_values(r, rows)
     best = float(values.min())
     # lexicographically smallest (theta, phi) among ties; the grid is theta-
     # major so the first tied flat index is that point
@@ -266,12 +308,7 @@ def _min_conditional_entropy(rho, slot, grid, refine_iters, tol):
     g_theta, g_phi = float(th[tie_idx]), float(ph[tie_idx])
     g_value = float(values[tie_idx])
 
-    out = np.empty((2, 2, 2), dtype=complex)
-
-    def objective(x):
-        return float(_outcome_entropy_sum(conditioned(_bloch_vector(x[0], x[1]), out)))
-
-    res = _nelder_mead(objective, [g_theta, g_phi], refine_iters, tol)
+    res = _nelder_mead(_one_angle_objective(r), [g_theta, g_phi], refine_iters, tol)
     if res.fun < g_value - TIE_TOL:
         theta, phi = _normalize_angles(float(res.x[0]), float(res.x[1]))
         return float(res.fun), MeasurementBasis(theta, phi)

@@ -11,6 +11,7 @@ quantifier.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,12 +37,14 @@ from .bipartite import (
     REFINE_ITERS_DEFAULT,
     REFINE_TOL_DEFAULT,
     TIE_TOL,
-    MeasurementBasis,
     _bloch_grid,
-    _bloch_vector,
+    _bloch_xyz,
+    _condition,
     _min_conditional_entropy,
     _nelder_mead,
+    _outcome_entropies,
     _outcome_entropy,
+    _pauli_tensor,
     concurrence,
     eof_from_concurrence,
     one_to_rest_concurrence,
@@ -52,9 +55,9 @@ from .bipartite import (
 
 CUT_PRODUCT_TOL = 1e-6
 DOUBLE_GRID_DEFAULT = 30
-# (u, v) pairs per outcome block of the two-angle grid scan: 6 rows of the
-# default 900-point grid, a 1.4 MB block that fits a 2 MB L2 cache
-_BLOCK_PAIRS = 5400
+# u points per block of the two-angle grid scan: 16 of the default 421 give
+# 0.9 MB of w planes per pass; 32 ran no faster and raised peak RSS by 4%
+_BLOCK_ROWS = 16
 SWEEP_MAX_POINTS = 100_001
 CROSSOVER_TOL = 1e-4
 
@@ -467,8 +470,8 @@ def _report_mixed(rho, grid, refine_iters, tol):
     s_rho = von_neumann_entropy(rho)
     order = _ordering(rho.parties, pair_i)
     t = _floor_zero(sum(s1.values()) - s_rho, "T")  # floored like total_information
+    j = _total_classical_mixed(rho, s1, pair_rho, grid, refine_iters, tol)
     kwargs = dict(grid=grid, refine_iters=refine_iters, tol=tol)
-    j = total_classical_mixed(rho, **kwargs)
     j2 = max(symmetrized_classical(red, **kwargs) for red in pair_rho.values())
     d2 = min(symmetrized_discord(red, **kwargs) for red in pair_rho.values())
     cut = _cut_mutual(order.permutation, s1, pair_rho, s_rho)
@@ -558,122 +561,77 @@ def find_discord_crossover(rows, tol=CROSSOVER_TOL):
     return None
 
 
-# Contractions of the measured tensor t (axes: measured i, measured j, kept k,
-# then their column copies) with outcome vectors u on i and v on j.
-_JOINT = "ax,by,xyzXYZ,aX,bY->abzZ"
-_FIRST = "ax,xyzXyZ,aX->azZ"
-_SECOND = "by,xyzxYZ,bY->bzZ"
-
-
 def _measured_tensor(rho, k, what):
-    """(t, rho_k): rho with axes (measured, measured, k) twice, and the state of k."""
+    """Pauli tensor of rho with axes (measured i, measured j, kept k)."""
     rho = _as_three_party(rho, what)
     k = str(k)
     if k not in rho.parties:
         raise ValidationError(f"unknown party {k!r}; have {rho.parties!r}")
     slot_k = rho.parties.index(k)
-    perm = [x for x in range(3) if x != slot_k] + [slot_k]
-    t = rho.matrix.reshape((2,) * 6).transpose(perm + [3 + p for p in perm])
-    return t, np.einsum("xyzxyZ->zZ", t)
+    return _pauli_tensor(rho.matrix, [x for x in range(3) if x != slot_k] + [slot_k])
 
 
-def _one_sided(spec, t, vecs):
-    """k-conditioned states after one measured party projects on vecs, (2, 2, n)."""
-    return np.einsum(spec, vecs.conj(), t, vecs, optimize=True).transpose(1, 2, 0)
-
-
-def _double_entropies(cond, r_k, m_u, m_v):
-    """S(k | u on i, v on j) for every pair of u and v vectors, (len(u), len(v)).
-
-    cond is a (2, 2, 4, len(u), len(v)) array that holds the joint states
-    m_uv as outcome 0 on entry; the other product outcomes (u v-perp, u-perp
-    v, u-perp v-perp) are written after it, so every matrix entry of every
-    outcome is a contiguous plane. m_u and m_v are the one-sided states
-    _one_sided gives for the u and v vectors.
-    """
-    m_uv = cond[:, :, 0]
-    m_u = m_u[..., None]
-    m_v = m_v[:, :, None, :]
-    np.subtract(m_u, m_uv, out=cond[:, :, 1])
-    np.subtract(m_v, m_uv, out=cond[:, :, 2])
-    last = cond[:, :, 3]
-    np.subtract(r_k[..., None, None], m_u, out=last)
-    last -= m_v
-    last += m_uv
-    # summed over outcomes in the order above; the grid's near-tied minima
-    # make the rounding of this sum part of the search result
-    return _outcome_entropy(cond[0, 0], cond[0, 1], cond[1, 0],
-                            cond[1, 1]).sum(axis=0)
-
-
-def _planned_double_entropy(t, r_k):
-    """f(x): S(k | product measurement at Bloch angles x = (th_i, ph_i, th_j, ph_j)).
-
-    f runs the pairwise contractions that einsum's greedy path makes for
-    _JOINT, _FIRST and _SECOND on single vectors as the same reshape,
-    transpose and matmul steps that numpy 2.4's einsum executes, on
-    permuted copies of t made once here. It therefore returns the einsum
-    result bit for bit, without einsum's per-call dispatch. Its rounding is
-    part of the searched value, like the grid's chunk size, and the repr
-    tests of double_conditional_entropy and the two-angle search pin it.
-    """
-    joint = t.transpose(1, 2, 3, 4, 5, 0).reshape(32, 2)
-    first = np.einsum("xyzXyZ->zXZx", t).reshape(8, 2)
-    second = np.einsum("xyzxYZ->zYZy", t).reshape(8, 2)
-    cond = np.empty((2, 2, 4, 1, 1), dtype=complex)
-
-    def one_sided(tensor, w, w_bar):
-        s = (tensor @ w_bar).reshape(2, 2, 2).transpose(2, 0, 1)
-        return (s.reshape(4, 2) @ w).reshape(2, 2, 1).transpose(1, 0, 2)
+def _two_angle_objective(r):
+    """f(x): S(k | u at Bloch angles x[:2] on i, v at x[2:] on j), from r."""
+    r_rows = r.reshape(4, 16).tolist()
 
     def entropy(x):
-        u = _bloch_vector(x[0], x[1]).reshape(2, 1)
-        v = _bloch_vector(x[2], x[3]).reshape(2, 1)
-        u_bar, v_bar = u.conj(), v.conj()
-        s = (joint @ u_bar).reshape(2, 2, 2, 2, 2).transpose(2, 3, 4, 1, 0)
-        s = (s.reshape(16, 2) @ v_bar).reshape(2, 2, 2, 2).transpose(1, 2, 3, 0)
-        s = (s.reshape(8, 2) @ u).reshape(2, 2, 2).transpose(1, 2, 0)
-        cond[:, :, 0, 0, 0] = (s.reshape(4, 2) @ v).reshape(2, 2).T
-        return float(_double_entropies(cond, r_k, one_sided(first, u, u_bar),
-                                       one_sided(second, v, v_bar))[0, 0])
+        v = _bloch_xyz(x[2], x[3])
+        total = 0.0
+        for m in _condition(r_rows, _bloch_xyz(x[0], x[1])):
+            for w in _condition((m[0:4], m[4:8], m[8:12], m[12:16]), v):
+                total += _outcome_entropy(w, 0.25)
+        return total
 
     return entropy
 
 
-def _chunk_filler(t, r_k, u_vecs, chunk, block):
-    """f(start): S(k | u on i, v on j) for u in rows start..start+chunk, all v.
+def _two_angle_values(r, rows, block=_BLOCK_ROWS):
+    """_two_angle_objective at every pair of the outcome rows' points, vectorized.
 
-    f contracts _JOINT once per chunk, on the greedy path einsum plans for
-    the chunk's shape, and evaluates the outcome entropies block rows at a
-    time, so the outcome block stays cache-sized. Each value is an
-    elementwise function of its own row's contractions, so the values of a
-    chunk do not depend on block.
+    Returns an (n, n) array, u on the first axis. u points are filled block
+    at a time to bound the memory of one pass. The v side is contracted
+    elementwise, not by a matrix product, whose rounding at the edges of
+    BLAS tiles would depend on the block; so no value depends on block.
     """
-    n = u_vecs.shape[0]
-    u_bar = u_vecs.conj()
-    m_u = _one_sided(_FIRST, t, u_vecs)
-    m_v = _one_sided(_SECOND, t, u_vecs)
-    paths = {}  # by chunk rows: the full chunks and a shorter last one
-    buf = np.empty(16 * min(block, chunk) * n, dtype=complex)
+    n = len(rows) // 2
+    v = rows[0::2, 1:]
+    # (lambda, u row, nu): (1, +-u).R for every u row
+    ur = (rows @ r.reshape(4, 16)).reshape(2 * n, 4, 4).transpose(2, 0, 1)
+    values = np.empty((n, n))
+    for lo in range(0, n, block):
+        m = ur[:, 2 * lo:2 * min(lo + block, n), :, None]
+        c = m[:, :, 0]
+        e = m[:, :, 1] * v[:, 0]
+        e += m[:, :, 2] * v[:, 1]
+        e += m[:, :, 3] * v[:, 2]
+        # w[lambda, u row, b, v] for the outcomes b = +1, -1 of v
+        w = np.empty(e.shape[:2] + (2, n))
+        np.add(c, e, out=w[:, :, 0])
+        np.subtract(c, e, out=w[:, :, 1])
+        h = _outcome_entropies(w, 0.25).reshape(-1, 4, n)
+        out = values[lo:lo + len(h)]
+        np.add(h[:, 0], h[:, 1], out=out)
+        out += h[:, 2]
+        out += h[:, 3]
+    return values
 
-    def fill(start):
-        u_rows = u_vecs[start:start + chunk]
-        rows = len(u_rows)
-        operands = (u_rows.conj(), u_bar, t, u_rows, u_vecs)
-        if rows not in paths:
-            paths[rows] = np.einsum_path(_JOINT, *operands, optimize="greedy")[0]
-        joint = np.einsum(_JOINT, *operands,
-                          optimize=paths[rows]).transpose(2, 3, 0, 1)
-        values = np.empty((rows, n))
-        for lo in range(0, rows, block):
-            hi = min(lo + block, rows)
-            cond = buf[:16 * (hi - lo) * n].reshape(2, 2, 4, hi - lo, n)
-            cond[:, :, 0] = joint[:, :, lo:hi]
-            values[lo:hi] = _double_entropies(cond, r_k,
-                                              m_u[..., start + lo:start + hi], m_v)
-        return values
 
-    return fill
+@functools.lru_cache(maxsize=4)
+def _hemisphere(grid):
+    """(theta, phi, outcome rows) of the upper half of the grid x grid angle grid.
+
+    The half is the theta rows 0..(grid + 1) // 2 - 1, with the theta = 0 row
+    kept as one point. Row i mirrors row grid - 1 - i, and u -> -u only swaps
+    the outcomes, so for even grid the half holds every measurement of the
+    full grid once.
+    """
+    th, ph, rows = _bloch_grid(grid, grid)
+    keep = np.r_[0, grid:(grid + 1) // 2 * grid]
+    out = th[keep], ph[keep], rows.reshape(-1, 2, 4)[keep].reshape(-1, 4)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def double_conditional_entropy(rho, k, bases) -> float:
@@ -682,9 +640,9 @@ def double_conditional_entropy(rho, k, bases) -> float:
     bases is a pair of MeasurementBasis for the two measured parties in
     their rho.parties order.
     """
-    t, r_k = _measured_tensor(rho, k, "double_conditional_entropy")
     u, v = bases
-    return _planned_double_entropy(t, r_k)((u.theta, u.phi, v.theta, v.phi))
+    r = _measured_tensor(rho, k, "double_conditional_entropy")
+    return _two_angle_objective(r)((u.theta, u.phi, v.theta, v.phi))
 
 
 def min_double_conditional_entropy(rho, k, grid=DOUBLE_GRID_DEFAULT,
@@ -692,43 +650,19 @@ def min_double_conditional_entropy(rho, k, grid=DOUBLE_GRID_DEFAULT,
                                    tol=REFINE_TOL_DEFAULT) -> float:
     """Minimum of the double conditional entropy over product measurements.
 
-    Four Bloch angles are scanned on a grid (grid points per angle) and the
-    best point is refined with Nelder-Mead. For pure global states every
-    product measurement already yields zero.
-
-    Each party's grid holds every measurement twice, as (theta, phi) and
-    with its outcomes swapped as (pi - theta, phi + pi), so the grid minimum
-    comes as mirror pairs tied to rounding. Nelder-Mead starts from the
-    first one found: the u grid is scanned in chunks of 131072 // (4 g^2)
-    rows, and a later chunk wins only when it is lower by more than TIE_TOL.
-    The chunk size and that rule therefore choose the start point and are
-    part of the returned value. Within a chunk the values are filled in
-    blocks of _BLOCK_PAIRS // g^2 rows; the block only sets how much memory
-    one pass over the outcomes touches, and every value is the same for any
-    block, so the block is not part of the output. The rounding of the
-    objective, _planned_double_entropy, whose matmul chain reproduces
-    einsum's greedy contraction path bit for bit, is; the repr tests of
-    this search pin it and the chunk rule.
+    Each measured party is scanned over the upper half of a grid x grid
+    Bloch-angle grid (421 points at the default 30), which holds every
+    measurement of the full grid once up to an outcome swap. Nelder-Mead
+    refines the first grid minimum. For pure global states every product
+    measurement already yields zero.
     """
-    t, r_k = _measured_tensor(rho, k, "min_double_conditional_entropy")
-    th_u, ph_u, u_vecs = _bloch_grid(grid, grid)
-    n = u_vecs.shape[0]
-    best = math.inf
-    best_idx = (0, 0)
-    chunk = max(1, 131072 // (n * 4))
-    chunk_values = _chunk_filler(t, r_k, u_vecs, chunk,
-                                 max(1, _BLOCK_PAIRS // n))
-    for start in range(0, n, chunk):
-        values = chunk_values(start)
-        flat = int(values.argmin())
-        v_min = float(values.reshape(-1)[flat])
-        if v_min < best - TIE_TOL:
-            best = v_min
-            best_idx = (start + flat // n, flat % n)
-    iu, iv = best_idx
-    x0 = [th_u[iu], ph_u[iu], th_u[iv], ph_u[iv]]
-    res = _nelder_mead(_planned_double_entropy(t, r_k), x0, refine_iters, tol)
-    return min(best, float(res.fun))
+    r = _measured_tensor(rho, k, "min_double_conditional_entropy")
+    th, ph, rows = _hemisphere(int(grid))
+    values = _two_angle_values(r, rows)
+    iu, iv = divmod(int(values.argmin()), len(th))
+    x0 = [th[iu], ph[iu], th[iv], ph[iv]]
+    res = _nelder_mead(_two_angle_objective(r), x0, refine_iters, tol)
+    return min(float(values[iu, iv]), float(res.fun))
 
 
 def total_classical_mixed(rho, grid=GRID_DEFAULT,
@@ -741,8 +675,13 @@ def total_classical_mixed(rho, grid=GRID_DEFAULT,
     lower bound to the POVM-defined quantity.
     """
     rho = _as_three_party(rho, "total_classical_mixed")
-    labels = rho.parties
     s1, pair_rho, _ = _entropies_and_pairs(rho)
+    return _total_classical_mixed(rho, s1, pair_rho, grid, refine_iters, tol)
+
+
+def _total_classical_mixed(rho, s1, pair_rho, grid, refine_iters, tol):
+    """total_classical_mixed from rho's one-party entropies and pair states."""
+    labels = rho.parties
     single_min = {}
     for i, j in itertools.permutations(labels, 2):
         red = _pair_lookup(pair_rho, i, j)

@@ -47,29 +47,29 @@ E_W_PAIR = 0.5500477595827576
 # Nelder-Mead path.
 DIRECTIONAL_REPR = {
     ("mixed5", "a", (60, 120)): (
-        "0.28955791831643773", "0.5811568052041907", "4.584303959937537"),
+        "0.28955791831643796", "0.5811568014551227", "4.584303958012634"),
     ("mixed5", "a", (17, 31)): (
-        "0.28955791831643773", "2.560435840059817", "1.4427113125942563"),
+        "0.28955791831643796", "2.5604358466195167", "1.4427113041953388"),
     ("mixed5", "b", (60, 120)): (
-        "0.3138231198230954", "1.4334209283649617", "5.663341730410348"),
+        "0.3138231198230954", "1.4334209195209098", "5.663341686495459"),
     ("mixed5", "b", (17, 31)): (
-        "0.3138231198230954", "1.433420944394691", "5.663341724209322"),
+        "0.3138231198230952", "1.4334208969243087", "5.663341731994263"),
     ("mixed100", "b", (60, 120)): (
-        "0.06098635728287605", "0.5859549536091021", "3.0010921447418872"),
+        "0.060986357282875825", "0.5859550135928417", "3.0010922499617654"),
     ("mixed100", "b", (17, 31)): (
-        "0.06098635728287605", "0.5859549765387455", "3.001092223732972"),
+        "0.060986357282875825", "0.5859549737554309", "3.001092059303165"),
     ("mixed100", "c", (60, 120)): (
-        "0.06342555536524186", "1.3109681528355406", "0.4073384690804628"),
+        "0.06342555536524175", "1.3109681394895807", "0.407338439196531"),
     ("mixed100", "c", (17, 31)): (
-        "0.06342555536524186", "1.310968305849562", "0.40733843622656185"),
+        "0.06342555536524164", "1.3109680770275882", "0.4073384347825816"),
     ("pure7", "a", (60, 120)): (
-        "0.21907268990608664", "0.9623414382072568", "5.226544266962508"),
+        "0.21907268990608675", "0.9623414262188692", "5.226544320360343"),
     ("pure7", "a", (17, 31)): (
-        "0.21907268990608653", "0.9623414476555938", "5.226544274297928"),
+        "0.21907268990608683", "0.9623414869286331", "5.2265442377493585"),
     ("pure7", "c", (60, 120)): (
-        "0.17854146212602678", "1.4911835550208228", "6.230600302717302"),
+        "0.17854146212602692", "1.4911836077021756", "6.230600332908976"),
     ("pure7", "c", (17, 31)): (
-        "0.17854146212602695", "1.4911835463093381", "6.2306003099548555"),
+        "0.17854146212602695", "1.49118351937777", "6.230600313266227"),
 }
 
 
@@ -78,42 +78,42 @@ DIRECTIONAL_REPR = {
 # recorded when symmetrized_discord took the minimum of the two directional
 # discords instead of subtracting the symmetrized classical correlation
 SYMMETRIZED_REPR = {
-    0: ('0.15630246003837966', '0.19327291943649116',
-        ('0.19327291943649116', '0.6074217799989214', '1.410129165052434'),
-        ('0.20575688138466863', '1.3652568984925124', '4.8352513140407485')),
-    1: ('0.5485671308684616', '0.21120055277145366',
-        ('0.22972425905181149', '0.8584528938716766', '1.3754261026851107'),
-        ('0.21120055277145366', '1.2396264452207912', '6.092921469839732')),
-    2: ('0.34337853665254564', '0.10611603090508509',
-        ('0.10949272746035843', '1.2091980753010656', '0.8273109870326933'),
-        ('0.10611603090508509', '1.2233850207494732', '2.785774660817699')),
-    3: ('0.23249073675523907', '0.05061504320429627',
-        ('0.09329859545958197', '0.8368564071850172', '2.2064998569231626'),
-        ('0.05061504320429627', '1.5463446406492003', '3.648281445935509')),
-    4: ('0.28240564058154843', '0.03493763936158972',
-        ('0.07684967038503077', '1.0386044540058514', '3.7929508214513543'),
-        ('0.03493763936158972', '0.427335783075137', '1.9456768612343116')),
-    5: ('0.2682677438733948', '0.25452652263663855',
-        ('0.26032044046993263', '1.4063693535733615', '0.4763138843067578'),
-        ('0.25452652263663855', '0.7433704817393563', '0.8936651608868185')),
-    6: ('0.23162924132684237', '0.1698270978967551',
-        ('0.1708670548877798', '0.5287643823444359', '5.52028611714621'),
-        ('0.1698270978967551', '1.1278734807263007', '0.03460454701272996')),
-    7: ('0.4935445991025387', '0.05812632574501664',
-        ('0.05812632574501664', '1.38437342028538', '6.027078782494975'),
-        ('0.06341067013194174', '0.5597474910213125', '2.85894710416853')),
-    8: ('0.1717073468360114', '0.09090048559278341',
-        ('0.09090048559278341', '1.5589112225212394', '5.039344305669968'),
-        ('0.09092561251288556', '1.484213350948738', '4.0368774660970725')),
-    9: ('0.251445403943918', '0.11507626950635108',
-        ('0.11507626950635108', '0.9499626883752889', '1.1015340425703224'),
-        ('0.16290475109246427', '0.9797548938330182', '3.782247675585262')),
-    10: ('0.3427074028284882', '0.1502865684247079',
-         ('0.1502865684247079', '1.3496201325514599', '0.14443670653221746'),
-         ('0.19727314216783354', '1.146383579357955', '3.3303760135989506')),
-    11: ('0.6548692205925695', '0.17247980133021246',
-         ('0.17247980133021246', '0.5141299021647273', '2.7807534020537688'),
-         ('0.24177536736213245', '1.1263977542927832', '2.7517174252096916')),
+    0: ('0.15630246003837978', '0.19327291943649105',
+        ('0.19327291943649105', '0.6074217748963613', '1.4101291625763106'),
+        ('0.20575688138466863', '1.3652568961730336', '4.835251304063334')),
+    1: ('0.5485671308684615', '0.21120055277145378',
+        ('0.22972425905181182', '0.8584528902761137', '1.3754261152895144'),
+        ('0.21120055277145378', '1.2396264760161562', '6.092921449230069')),
+    2: ('0.3433785366525455', '0.10611603090508526',
+        ('0.10949272746035843', '1.2091981005930341', '0.8273110001003399'),
+        ('0.10611603090508526', '1.2233850288283543', '2.7857746742493084')),
+    3: ('0.2324907367552388', '0.05061504320429655',
+        ('0.09329859545958197', '0.8368563957926385', '2.206499866479055'),
+        ('0.05061504320429655', '1.5463446106549625', '3.6482814681372293')),
+    4: ('0.28240564058154827', '0.03493763936158989',
+        ('0.07684967038503077', '1.0386044468899696', '3.7929508182832405'),
+        ('0.03493763936158989', '0.4273357663821696', '1.945676847191741')),
+    5: ('0.26826774387339447', '0.2545265226366389',
+        ('0.2603204404699325', '1.4063693745398405', '0.47631389370010485'),
+        ('0.2545265226366389', '0.7433704783324543', '0.893665182506236')),
+    6: ('0.23162924132684226', '0.1698270978967552',
+        ('0.17086705488777976', '0.528764388939845', '5.520286131159595'),
+        ('0.1698270978967552', '1.1278734733825675', '0.034604549449048005')),
+    7: ('0.4935445991025391', '0.058126325745016194',
+        ('0.058126325745016194', '1.3843734238050884', '6.027078776523717'),
+        ('0.0634106701319418', '0.5597474894885757', '2.8589471172768643')),
+    8: ('0.1717073468360113', '0.09090048559278352',
+        ('0.09090048559278352', '1.5589112225212394', '5.039344305669967'),
+        ('0.09092561251288567', '1.4842133509501099', '4.03687746596751')),
+    9: ('0.2514454039439178', '0.1150762695063513',
+        ('0.1150762695063513', '0.9499626645650563', '1.1015340357027814'),
+        ('0.16290475109246427', '0.979754875951919', '3.782247694414759')),
+    10: ('0.34270740282848816', '0.15028656842470794',
+         ('0.15028656842470794', '1.3496201298072563', '0.14443671790984275'),
+         ('0.19727314216783387', '1.1463836313022586', '3.3303760142416774')),
+    11: ('0.654869220592569', '0.1724798013302129',
+         ('0.1724798013302129', '0.5141298961503868', '2.7807533820160426'),
+         ('0.24177536736213256', '1.1263977488424208', '2.7517174319856688')),
 }
 
 

@@ -31,27 +31,27 @@ DISCORD2Q_JSON = {
     3: (
         '{\n'
         '  "measured": "b",\n'
-        '  "classical": 0.23249073675523907,\n'
-        '  "discord": 0.05061504320429627,\n'
+        '  "classical": 0.2324907367552388,\n'
+        '  "discord": 0.05061504320429655,\n'
         '  "optimal_basis": {\n'
-        '    "theta": 1.5463446406492003,\n'
-        '    "phi": 3.648281445935509\n'
+        '    "theta": 1.5463446106549625,\n'
+        '    "phi": 3.6482814681372293\n'
         '  },\n'
-        '  "symmetrized_classical": 0.23249073675523907,\n'
-        '  "symmetrized_discord": 0.05061504320429627,\n'
+        '  "symmetrized_classical": 0.2324907367552388,\n'
+        '  "symmetrized_discord": 0.05061504320429655,\n'
         '  "mutual_information": 0.28310577995953534\n'
         '}\n'),
     8: (
         '{\n'
         '  "measured": "b",\n'
-        '  "classical": 0.17168221991590926,\n'
-        '  "discord": 0.09092561251288556,\n'
+        '  "classical": 0.17168221991590915,\n'
+        '  "discord": 0.09092561251288567,\n'
         '  "optimal_basis": {\n'
-        '    "theta": 1.484213350948738,\n'
-        '    "phi": 4.0368774660970725\n'
+        '    "theta": 1.4842133509501099,\n'
+        '    "phi": 4.03687746596751\n'
         '  },\n'
-        '  "symmetrized_classical": 0.1717073468360114,\n'
-        '  "symmetrized_discord": 0.09090048559278341,\n'
+        '  "symmetrized_classical": 0.1717073468360113,\n'
+        '  "symmetrized_discord": 0.09090048559278352,\n'
         '  "mutual_information": 0.2626078324287948\n'
         '}\n'),
 }
@@ -531,10 +531,9 @@ class TestParserBehavior:
         assert got == bipartite.classical_correlation_directional(
             red, "b", refine_iters=0, tol=0.0).value
         # no worse than the grid point, short of the refined default
-        th, _, vectors = bipartite._bloch_grid(*bipartite.GRID_DEFAULT)
-        outcomes = np.empty((th.size, 2, 2, 2), dtype=complex)
-        grid_min = bipartite._outcome_entropy_sum(
-            bipartite._conditioner(red.matrix, 1)(vectors, outcomes)).min()
+        rows = bipartite._bloch_grid(*bipartite.GRID_DEFAULT)[2]
+        grid_min = bipartite._one_angle_values(
+            bipartite._pauli_tensor(red.matrix, [1, 0]), rows).min()
         s_a = bipartite.von_neumann_entropy(partial_trace(red, ["a"]))
         assert s_a - grid_min <= got < bipartite.classical_correlation_directional(
             red, "b").value
