@@ -266,17 +266,20 @@ def _normalize_angles(theta, phi):
     return theta, phi % (2.0 * math.pi)
 
 
-@functools.lru_cache(maxsize=8)
-def _bloch_grid(n_theta, n_phi):
-    """(theta, phi, outcome rows) of the theta-major angle grid, read-only.
+@functools.lru_cache(maxsize=2)
+def _hemisphere(n_theta, n_phi):
+    """(theta, phi, outcome rows) of the upper half of a theta-major angle grid.
 
-    The outcome rows of point i are rows 2i and 2i+1: (1, u) and (1, -u) for
-    its Bloch vector u.
+    The half is the theta rows 0..(n_theta + 1) // 2 - 1 of the n_theta x n_phi
+    grid, with the theta = 0 row kept as one point. The outcome rows of point i
+    are rows 2i and 2i+1: (1, u) and (1, -u) for its Bloch vector u. Row i
+    mirrors row n_theta - 1 - i shifted by pi in phi, and u -> -u only swaps the
+    outcomes, so for even grid sizes the half holds every measurement of the
+    full grid once. The arrays are read-only.
     """
-    thetas = np.linspace(0.0, math.pi, int(n_theta))
-    phis = np.linspace(0.0, 2.0 * math.pi, int(n_phi), endpoint=False)
-    th = np.repeat(thetas, phis.size)
-    ph = np.tile(phis, thetas.size)
+    keep = np.r_[0, n_phi:(n_theta + 1) // 2 * n_phi]
+    th = np.repeat(np.linspace(0.0, math.pi, n_theta), n_phi)[keep]
+    ph = np.tile(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False), n_theta)[keep]
     u = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1)
     rows = np.ones((th.size, 2, 4))
     rows[:, 0, 1:] = u
@@ -287,46 +290,52 @@ def _bloch_grid(n_theta, n_phi):
     return th, ph, rows
 
 
-def _nelder_mead(objective, x0, refine_iters, tol):
-    """scipy's Nelder-Mead from x0, with both convergence tolerances at tol."""
+def _nelder_mead(objective, x0):
+    """scipy's Nelder-Mead from x0, with both convergence tolerances at 1e-10."""
     from scipy.optimize import minimize  # deferred: keep closed-form paths scipy-free
 
     return minimize(objective, x0, method="Nelder-Mead",
-                    options={"maxiter": int(refine_iters), "xatol": tol,
-                             "fatol": tol})
+                    options={"maxiter": REFINE_ITERS_DEFAULT,
+                             "xatol": REFINE_TOL_DEFAULT,
+                             "fatol": REFINE_TOL_DEFAULT})
 
 
-def _min_conditional_entropy(rho, slot, grid, refine_iters, tol):
-    """Grid scan plus simplex refinement; returns (value, basis)."""
-    th, ph, rows = _bloch_grid(*grid)
-    r = _pauli_tensor(rho.matrix, [slot, 1 - slot])
-    values = _one_angle_values(r, rows)
-    best = float(values.min())
-    # lexicographically smallest (theta, phi) among ties; the grid is theta-
-    # major so the first tied flat index is that point
-    tie_idx = int(np.nonzero(values <= best + TIE_TOL)[0][0])
-    g_theta, g_phi = float(th[tie_idx]), float(ph[tie_idx])
-    g_value = float(values[tie_idx])
+def _search(objective, values, th, ph):
+    """Grid minimum of objective refined by Nelder-Mead; returns (value, angles).
 
-    res = _nelder_mead(_one_angle_objective(r), [g_theta, g_phi], refine_iters, tol)
+    values holds objective on the grid th, ph, one axis per measured party.
+    The simplex starts from the first point within TIE_TOL of the grid
+    minimum, which on the theta-major grid is the lexicographically smallest
+    among ties, and its result replaces that point only when it is lower by
+    more than TIE_TOL.
+    """
+    first = int(np.flatnonzero(values <= values.min() + TIE_TOL)[0])
+    point = np.unravel_index(first, values.shape)
+    x0 = [float(a[i]) for i in point for a in (th, ph)]
+    g_value = float(values[point])
+    res = _nelder_mead(objective, x0)
     if res.fun < g_value - TIE_TOL:
-        theta, phi = _normalize_angles(float(res.x[0]), float(res.x[1]))
-        return float(res.fun), MeasurementBasis(theta, phi)
-    return g_value, MeasurementBasis(g_theta, g_phi)
+        return float(res.fun), [float(x) for x in res.x]
+    return g_value, x0
 
 
-def classical_correlation_directional(
-    rho_ab: DensityMatrix,
-    measured_party=None,
-    grid=GRID_DEFAULT,
-    refine_iters=REFINE_ITERS_DEFAULT,
-    tol=REFINE_TOL_DEFAULT,
-) -> DirectionalResult:
+def _min_conditional_entropy(rho, slot):
+    """Hemisphere grid scan plus simplex refinement; returns (value, basis)."""
+    th, ph, rows = _hemisphere(*GRID_DEFAULT)
+    r = _pauli_tensor(rho.matrix, [slot, 1 - slot])
+    value, (theta, phi) = _search(_one_angle_objective(r), _one_angle_values(r, rows),
+                                  th, ph)
+    return value, MeasurementBasis(*_normalize_angles(theta, phi))
+
+
+def classical_correlation_directional(rho_ab: DensityMatrix,
+                                      measured_party=None) -> DirectionalResult:
     """J_{other:measured} = S(rho_other) - min over bases of S(other|measured).
 
-    Maximizes over rank-1 projective measurements on measured_party with a
-    theta x phi grid followed by Nelder-Mead refinement. Ties within 1e-10
-    resolve to the lexicographically smallest (theta, phi) grid point.
+    Maximizes over rank-1 projective measurements on measured_party with the
+    hemisphere of a 60 x 120 theta x phi grid followed by Nelder-Mead
+    refinement. Ties within 1e-10 resolve to the lexicographically smallest
+    (theta, phi) grid point.
     """
     _require_parties(rho_ab, 2, "classical_correlation_directional")
     if measured_party is None:
@@ -334,7 +343,7 @@ def classical_correlation_directional(
     slot = _party_slot(rho_ab, measured_party)
     other = rho_ab.parties[1 - slot]
     s_other = von_neumann_entropy(partial_trace(rho_ab, [other]))
-    cond, basis = _min_conditional_entropy(rho_ab, slot, grid, refine_iters, tol)
+    cond, basis = _min_conditional_entropy(rho_ab, slot)
     return DirectionalResult(_floor_zero(s_other - cond, "classical correlation"),
                              basis, "optimizer")
 
@@ -344,35 +353,25 @@ def discord_from(mi, classical) -> float:
     return _floor_zero(mi - classical, "discord", OPTIMIZER_SLACK)
 
 
-def discord_directional(
-    rho_ab: DensityMatrix,
-    measured_party=None,
-    grid=GRID_DEFAULT,
-    refine_iters=REFINE_ITERS_DEFAULT,
-    tol=REFINE_TOL_DEFAULT,
-) -> DirectionalResult:
+def discord_directional(rho_ab: DensityMatrix,
+                        measured_party=None) -> DirectionalResult:
     """delta_{other:measured} = I - J_{other:measured}, same optimal basis."""
-    j = classical_correlation_directional(
-        rho_ab, measured_party, grid=grid, refine_iters=refine_iters, tol=tol
-    )
+    j = classical_correlation_directional(rho_ab, measured_party)
     return DirectionalResult(discord_from(mutual_information(rho_ab), j.value),
                              j.optimal_basis, "optimizer")
 
 
-def symmetrized_classical(rho_ab: DensityMatrix, **kwargs) -> float:
+def symmetrized_classical(rho_ab: DensityMatrix) -> float:
     """max[J_{a:b}, J_{b:a}] over the two measurement directions."""
     _require_parties(rho_ab, 2, "symmetrized_classical")
-    return max(
-        classical_correlation_directional(rho_ab, p, **kwargs).value
-        for p in rho_ab.parties
-    )
+    return max(classical_correlation_directional(rho_ab, p).value
+               for p in rho_ab.parties)
 
 
-def symmetrized_discord(rho_ab: DensityMatrix, **kwargs) -> float:
+def symmetrized_discord(rho_ab: DensityMatrix) -> float:
     """min[D_{a:b}, D_{b:a}] = I - max[J_{a:b}, J_{b:a}]."""
     _require_parties(rho_ab, 2, "symmetrized_discord")
-    return discord_from(mutual_information(rho_ab),
-                        symmetrized_classical(rho_ab, **kwargs))
+    return discord_from(mutual_information(rho_ab), symmetrized_classical(rho_ab))
 
 
 def _unsupported(what):
@@ -381,7 +380,7 @@ def _unsupported(what):
     )
 
 
-def to_pure(state, tol=1e-8) -> PureState:
+def to_pure(state) -> PureState:
     """Dominant eigenvector of an almost-pure density matrix as a PureState.
 
     A matrix counts as pure when its largest eigenvalue exceeds 1 - 1e-8.
@@ -391,7 +390,7 @@ def to_pure(state, tol=1e-8) -> PureState:
     if not isinstance(state, DensityMatrix):
         raise ValidationError("expected a PureState or DensityMatrix")
     vals, vecs = np.linalg.eigh(state.matrix)
-    if vals[-1] <= 1.0 - tol:
+    if vals[-1] <= 1.0 - 1e-8:
         raise UnsupportedInputError(
             f"state is mixed (largest eigenvalue {vals[-1]!r})"
         )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 
@@ -41,44 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _parse_grid(text):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"grid {text!r} is not of the form GxH")
-    try:
-        g, h = (int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"grid {text!r} is not of the form GxH")
-    if g < 2 or h < 2:
-        raise argparse.ArgumentTypeError(f"grid {text!r} needs at least 2x2")
-    return g, h
-
-
-def _nonnegative(convert):
-    """argparse type: convert(text), refused unless finite and >= 0 (nan too)."""
-    def parse(text):
-        x = convert(text)
-        if not 0 <= x < math.inf:
-            raise argparse.ArgumentTypeError(f"{text!r} must be finite and "
-                                             f"nonnegative")
-        return x
-
-    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    return parse
-
-
-def _add_optimizer_flags(sub):
-    sub.add_argument("--grid", type=_parse_grid,
-                     default=bipartite.GRID_DEFAULT, metavar="GxH",
-                     help="theta x phi measurement grid (default 60x120)")
-    sub.add_argument("--refine-iters", type=_nonnegative(int),
-                     default=bipartite.REFINE_ITERS_DEFAULT, metavar="N",
-                     help="Nelder-Mead refinement iterations (default 200)")
-    sub.add_argument("--tol", type=_nonnegative(float),
-                     default=bipartite.REFINE_TOL_DEFAULT, metavar="X",
-                     help="refinement convergence tolerance (default 1e-10)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qcorr",
                      description="Correlation structure of few-qubit states")
@@ -92,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fail instead of falling back to the optimizer path")
     p_an.add_argument("--dump-reductions", metavar="DIR",
                       help="write each two-qubit reduction as matrix JSON")
-    _add_optimizer_flags(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
     p_sw = subs.add_parser("sweep", help="family sweep over p, CSV output")
@@ -113,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--oracle", action="store_true",
                       help="also cross-check the optimizer against closed forms")
     p_vf.add_argument("--format", choices=("table", "json"), default="table")
-    _add_optimizer_flags(p_vf)
     p_vf.set_defaults(func=cmd_verify)
 
     p_dq = subs.add_parser("discord2q", help="two-qubit discord of a matrix file")
@@ -121,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dq.add_argument("--measured", metavar="PARTY",
                       help="party of the file to measure (default: its second)")
     p_dq.add_argument("--format", choices=("table", "json"), default="table")
-    _add_optimizer_flags(p_dq)
     p_dq.set_defaults(func=cmd_discord2q)
 
     return parser
@@ -202,10 +160,7 @@ def _load_analyze_state(token):
 
 def cmd_analyze(args) -> int:
     state = _load_analyze_state(args.state)
-    report = tripartite.correlation_report(
-        state, require_pure=args.pure_only, grid=args.grid,
-        refine_iters=args.refine_iters, tol=args.tol,
-    )
+    report = tripartite.correlation_report(state, require_pure=args.pure_only)
     if args.dump_reductions:
         _dump_reductions(state, args.dump_reductions)
     if args.format == "json":
@@ -310,10 +265,7 @@ def cmd_verify(args) -> int:
     report = verify_mod.run_suite(args.samples, args.seed, args.qubits)
     elapsed = report.elapsed
     if args.oracle:
-        oracle = verify_mod.oracle_crosscheck(
-            args.samples, args.seed, grid=args.grid,
-            refine_iters=args.refine_iters, tol=args.tol,
-        )
+        oracle = verify_mod.oracle_crosscheck(args.samples, args.seed)
         elapsed += oracle.elapsed
         report = verify_mod.ViolationReport(
             seed=report.seed,
@@ -331,12 +283,11 @@ def cmd_verify(args) -> int:
 
 def cmd_discord2q(args) -> int:
     rho = qstate.load_matrix(args.matrix_file)
-    kwargs = dict(grid=args.grid, refine_iters=args.refine_iters, tol=args.tol)
     measured = rho.parties[1] if args.measured is None else args.measured
     # one search per direction; the symmetrized fields derive from the two
-    direct = bipartite.classical_correlation_directional(rho, measured, **kwargs)
+    direct = bipartite.classical_correlation_directional(rho, measured)
     (other,) = [p for p in rho.parties if p != measured]
-    reverse = bipartite.classical_correlation_directional(rho, other, **kwargs)
+    reverse = bipartite.classical_correlation_directional(rho, other)
     mi = bipartite.mutual_information(rho)
     symmetrized = max(direct.value, reverse.value)
     payload = {

@@ -45,10 +45,19 @@ def _clamp_unit(x, what):
     return min(max(x, 0.0), 1.0)
 
 
-def _default_labels(n):
-    if n > 26:
-        raise ValidationError(f"no default labels for {n} parties")
-    return tuple(string.ascii_lowercase[:n])
+def _party_labels(labels, n):
+    """n distinct party labels as strings; None gives a, b, c, ..."""
+    if labels is None:
+        if n > 26:
+            raise ValidationError(f"no default labels for {n} parties")
+        return tuple(string.ascii_lowercase[:n])
+    try:
+        labels = tuple(str(x) for x in labels)
+    except TypeError:  # not iterable
+        raise ValidationError(f"party labels {labels!r} are not a list") from None
+    if len(labels) != n or len(set(labels)) != n:
+        raise ValidationError(f"need {n} distinct party labels, got {labels!r}")
+    return labels
 
 
 class PureState:
@@ -66,14 +75,9 @@ class PureState:
         norm = float(np.linalg.norm(amp))
         if not abs(norm - 1.0) <= NORM_TOL:  # nan fails too
             raise ValidationError(f"state vector norm {norm!r} deviates from 1")
-        if labels is None:
-            labels = _default_labels(n)
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n or len(set(labels)) != n:
-            raise ValidationError(f"need {n} distinct party labels, got {labels!r}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _party_labels(labels, n))
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
@@ -109,14 +113,9 @@ class DensityMatrix:
         min_eig = float(np.linalg.eigvalsh(m)[0])
         if not min_eig >= -EIG_CLIP:
             raise ValidationError(f"positivity violated: eigenvalue {min_eig:.3e}")
-        if parties is None:
-            parties = _default_labels(n)
-        parties = tuple(str(x) for x in parties)
-        if len(parties) != n or len(set(parties)) != n:
-            raise ValidationError(f"need {n} distinct party labels, got {parties!r}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "parties", parties)
+        object.__setattr__(self, "parties", _party_labels(parties, n))
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -274,10 +273,10 @@ def haar_random_pure(n_qubits: int, seed: int) -> PureState:
     return PureState(amp / np.linalg.norm(amp))
 
 
-def random_mixed_state(n_qubits: int, seed: int, max_terms: int = 4) -> DensityMatrix:
-    """Convex mixture of up to max_terms Haar-random pure states."""
+def random_mixed_state(n_qubits: int, seed: int) -> DensityMatrix:
+    """Convex mixture of two to four Haar-random pure states."""
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(2, max_terms + 1))
+    k = int(rng.integers(2, 5))
     d = 2 ** int(n_qubits)
     weights = rng.random(k)
     weights /= weights.sum()

@@ -11,7 +11,6 @@ quantifier.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,18 +32,15 @@ from .qstate import (
     von_neumann_entropy,
 )
 from .bipartite import (
-    GRID_DEFAULT,
-    REFINE_ITERS_DEFAULT,
-    REFINE_TOL_DEFAULT,
     TIE_TOL,
-    _bloch_grid,
     _bloch_xyz,
     _condition,
+    _hemisphere,
     _min_conditional_entropy,
-    _nelder_mead,
     _outcome_entropies,
     _outcome_entropy,
     _pauli_tensor,
+    _search,
     concurrence,
     eof_from_concurrence,
     one_to_rest_concurrence,
@@ -434,9 +430,7 @@ def family_w_tilde(p: float, labels=None) -> PureState:
 FAMILIES = {"ghz_tilde": family_ghz_tilde, "w_tilde": family_w_tilde}
 
 
-def correlation_report(state, require_pure=False, grid=GRID_DEFAULT,
-                       refine_iters=REFINE_ITERS_DEFAULT,
-                       tol=REFINE_TOL_DEFAULT) -> CorrelationReport:
+def correlation_report(state, require_pure=False) -> CorrelationReport:
     """Assemble every quantifier for a three-qubit state.
 
     Pure inputs (largest eigenvalue above 1 - 1e-8) take the closed-form
@@ -452,7 +446,7 @@ def correlation_report(state, require_pure=False, grid=GRID_DEFAULT,
         psi = None
     if psi is not None:
         return _report_pure(psi)
-    return _report_mixed(rho, grid, refine_iters, tol)
+    return _report_mixed(rho)
 
 
 def _report_pure(psi):
@@ -464,16 +458,15 @@ def _report_pure(psi):
                             three_tangle(psi))
 
 
-def _report_mixed(rho, grid, refine_iters, tol):
+def _report_mixed(rho):
     # one entropy table gives the ordering, T and the cuts
     s1, pair_rho, pair_i = _entropies_and_pairs(rho)
     s_rho = von_neumann_entropy(rho)
     order = _ordering(rho.parties, pair_i)
     t = _floor_zero(sum(s1.values()) - s_rho, "T")  # floored like total_information
-    j = _total_classical_mixed(rho, s1, pair_rho, grid, refine_iters, tol)
-    kwargs = dict(grid=grid, refine_iters=refine_iters, tol=tol)
-    j2 = max(symmetrized_classical(red, **kwargs) for red in pair_rho.values())
-    d2 = min(symmetrized_discord(red, **kwargs) for red in pair_rho.values())
+    j = _total_classical_mixed(rho, s1, pair_rho)
+    j2 = max(symmetrized_classical(red) for red in pair_rho.values())
+    d2 = min(symmetrized_discord(red) for red in pair_rho.values())
     cut = _cut_mutual(order.permutation, s1, pair_rho, s_rho)
     return _assemble_report(t, j, t - j, j2, d2, order, cut, None)
 
@@ -535,12 +528,12 @@ def sweep_families(p_grid, families=("ghz_tilde", "w_tilde")):
     return rows
 
 
-def find_discord_crossover(rows, tol=CROSSOVER_TOL):
+def find_discord_crossover(rows):
     """Smallest p where the W-family total discord exceeds the GHZ-family's.
 
     Scans the D values of sweep_families rows of both families, in order of
     p, for a sign change of the difference and bisects it with
-    total_discord_pure down to tol. Returns None when the rows hold none.
+    total_discord_pure down to CROSSOVER_TOL. Returns None when the rows hold none.
     """
     d = {(p, family): report.D for p, family, report in rows}
     gaps = []
@@ -550,7 +543,7 @@ def find_discord_crossover(rows, tol=CROSSOVER_TOL):
         gaps.append((p, d[p, "w_tilde"] - d[p, "ghz_tilde"]))
     for (lo, g_lo), (hi, g_hi) in zip(gaps, gaps[1:]):
         if g_lo <= 0.0 < g_hi:
-            while hi - lo > tol:
+            while hi - lo > CROSSOVER_TOL:
                 mid = (lo + hi) / 2.0
                 if (total_discord_pure(family_w_tilde(mid))
                         - total_discord_pure(family_ghz_tilde(mid))) > 0.0:
@@ -617,23 +610,6 @@ def _two_angle_values(r, rows, block=_BLOCK_ROWS):
     return values
 
 
-@functools.lru_cache(maxsize=4)
-def _hemisphere(grid):
-    """(theta, phi, outcome rows) of the upper half of the grid x grid angle grid.
-
-    The half is the theta rows 0..(grid + 1) // 2 - 1, with the theta = 0 row
-    kept as one point. Row i mirrors row grid - 1 - i, and u -> -u only swaps
-    the outcomes, so for even grid the half holds every measurement of the
-    full grid once.
-    """
-    th, ph, rows = _bloch_grid(grid, grid)
-    keep = np.r_[0, grid:(grid + 1) // 2 * grid]
-    out = th[keep], ph[keep], rows.reshape(-1, 2, 4)[keep].reshape(-1, 4)
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 def double_conditional_entropy(rho, k, bases) -> float:
     """S(rho_k | product measurements on the other two parties).
 
@@ -645,29 +621,21 @@ def double_conditional_entropy(rho, k, bases) -> float:
     return _two_angle_objective(r)((u.theta, u.phi, v.theta, v.phi))
 
 
-def min_double_conditional_entropy(rho, k, grid=DOUBLE_GRID_DEFAULT,
-                                   refine_iters=REFINE_ITERS_DEFAULT,
-                                   tol=REFINE_TOL_DEFAULT) -> float:
+def min_double_conditional_entropy(rho, k) -> float:
     """Minimum of the double conditional entropy over product measurements.
 
-    Each measured party is scanned over the upper half of a grid x grid
-    Bloch-angle grid (421 points at the default 30), which holds every
-    measurement of the full grid once up to an outcome swap. Nelder-Mead
-    refines the first grid minimum. For pure global states every product
-    measurement already yields zero.
+    Each measured party is scanned over the upper half of a 30 x 30
+    Bloch-angle grid (421 points), which holds every measurement of the
+    full grid once up to an outcome swap, and Nelder-Mead refines the grid
+    minimum as in the one-party search. For pure global states every
+    product measurement already yields zero.
     """
     r = _measured_tensor(rho, k, "min_double_conditional_entropy")
-    th, ph, rows = _hemisphere(int(grid))
-    values = _two_angle_values(r, rows)
-    iu, iv = divmod(int(values.argmin()), len(th))
-    x0 = [th[iu], ph[iu], th[iv], ph[iv]]
-    res = _nelder_mead(_two_angle_objective(r), x0, refine_iters, tol)
-    return min(float(values[iu, iv]), float(res.fun))
+    th, ph, rows = _hemisphere(DOUBLE_GRID_DEFAULT, DOUBLE_GRID_DEFAULT)
+    return _search(_two_angle_objective(r), _two_angle_values(r, rows), th, ph)[0]
 
 
-def total_classical_mixed(rho, grid=GRID_DEFAULT,
-                          refine_iters=REFINE_ITERS_DEFAULT,
-                          tol=REFINE_TOL_DEFAULT) -> float:
+def total_classical_mixed(rho) -> float:
     """Best-effort total classical correlations of a possibly mixed state.
 
     Maximizes S(rho_j) - S(j|i) + S(rho_k) - S(k|ji) over the six party
@@ -676,24 +644,18 @@ def total_classical_mixed(rho, grid=GRID_DEFAULT,
     """
     rho = _as_three_party(rho, "total_classical_mixed")
     s1, pair_rho, _ = _entropies_and_pairs(rho)
-    return _total_classical_mixed(rho, s1, pair_rho, grid, refine_iters, tol)
+    return _total_classical_mixed(rho, s1, pair_rho)
 
 
-def _total_classical_mixed(rho, s1, pair_rho, grid, refine_iters, tol):
+def _total_classical_mixed(rho, s1, pair_rho):
     """total_classical_mixed from rho's one-party entropies and pair states."""
     labels = rho.parties
     single_min = {}
     for i, j in itertools.permutations(labels, 2):
         red = _pair_lookup(pair_rho, i, j)
         slot = red.parties.index(i)
-        single_min[(j, i)], _ = _min_conditional_entropy(
-            red, slot, grid, refine_iters, tol
-        )
-    double_min = {
-        k: min_double_conditional_entropy(rho, k, refine_iters=refine_iters,
-                                          tol=tol)
-        for k in labels
-    }
+        single_min[(j, i)], _ = _min_conditional_entropy(red, slot)
+    double_min = {k: min_double_conditional_entropy(rho, k) for k in labels}
     best = 0.0
     for i, j, k in itertools.permutations(labels):
         value = s1[j] - single_min[(j, i)] + s1[k] - double_min[k]

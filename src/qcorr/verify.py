@@ -31,9 +31,6 @@ from .qstate import (
     von_neumann_entropy,
 )
 from .bipartite import (
-    GRID_DEFAULT,
-    REFINE_ITERS_DEFAULT,
-    REFINE_TOL_DEFAULT,
     classical_correlation_directional,
     concurrence,
     eof_from_concurrence,
@@ -146,6 +143,8 @@ class _Accumulator:
 
 def sub_seed(master_seed: int, index: int) -> int:
     """Counter-based split of the master seed; reproducible in isolation."""
+    if int(master_seed) < 0:
+        raise ValidationError(f"seed {master_seed!r} must be nonnegative")
     ss = np.random.SeedSequence([int(master_seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -373,10 +372,7 @@ def run_suite(n_samples: int, seed: int, n_qubits: int = 3,
                         n_samples, seed, n_qubits, states)
 
 
-def oracle_crosscheck(n_samples: int, seed: int, states=None,
-                      grid=GRID_DEFAULT,
-                      refine_iters=REFINE_ITERS_DEFAULT,
-                      tol=REFINE_TOL_DEFAULT) -> ViolationReport:
+def oracle_crosscheck(n_samples: int, seed: int, states=None) -> ViolationReport:
     """Optimizer-vs-closed-form comparison on every two-qubit reduction.
 
     For each sampled pure three-qubit state and each ordered party pair,
@@ -391,9 +387,7 @@ def oracle_crosscheck(n_samples: int, seed: int, states=None,
         worst_beat = -math.inf
         for i, j in itertools.permutations(psi.labels, 2):
             red = partial_trace(rho, [i, j])
-            direct = classical_correlation_directional(
-                red, j, grid=grid, refine_iters=refine_iters, tol=tol
-            )
+            direct = classical_correlation_directional(red, j)
             j_closed = koashi_winter_classical(psi, i, j)
             d_opt = mutual_information(red) - direct.value
             d_closed = koashi_winter_discord(psi, i, j)

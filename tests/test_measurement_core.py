@@ -72,7 +72,8 @@ def test_two_party_measurement_matches_projector_route(seed, u, v, kept):
 
 
 def test_scalar_and_grid_evaluators_agree_on_the_hemisphere():
-    th, ph, rows = tripartite._hemisphere(tripartite.DOUBLE_GRID_DEFAULT)
+    grid = tripartite.DOUBLE_GRID_DEFAULT
+    th, ph, rows = bipartite._hemisphere(grid, grid)
     n = len(th)
     partner = np.random.default_rng(0).permutation(n)
     for seed, kept in ((5, "a"), (17, "b"), (100, "c")):

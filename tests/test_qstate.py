@@ -56,6 +56,12 @@ class TestPureState:
         with pytest.raises(ValidationError):
             PureState(bell_vec(), labels=("a", "a"))
 
+    def test_labels_must_be_iterable(self):
+        with pytest.raises(ValidationError, match="party labels 5"):
+            PureState(bell_vec(), labels=5)
+        with pytest.raises(ValidationError, match="party labels 5"):
+            DensityMatrix(np.eye(4) / 4.0, 5)
+
     def test_immutable(self):
         psi = PureState(bell_vec())
         with pytest.raises(AttributeError):

@@ -579,7 +579,7 @@ class TestDoubleConditional:
         # the block only bounds the memory of one pass; a block size that
         # moved any value could move the Nelder-Mead start point
         r = tripartite._measured_tensor(random_mixed_state(3, seed), "b", "test")
-        rows = tripartite._hemisphere(30)[2]
+        rows = tripartite._hemisphere(30, 30)[2]
         want = tripartite._two_angle_values(r, rows, 421).tobytes()
         for block in (1, 3, 7, 16):
             got = tripartite._two_angle_values(r, rows, block).tobytes()

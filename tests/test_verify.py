@@ -37,6 +37,13 @@ class TestSubSeed:
         assert len(seeds) == 50
         assert sub_seed(42, 0) != sub_seed(43, 0)
 
+    def test_negative_master_seed(self):
+        for call in (lambda: sub_seed(-1, 0), lambda: run_suite(2, -1),
+                     lambda: run_suite(2, -1, 4), lambda: oracle_crosscheck(1, -1),
+                     lambda: explore_pairwise_order_n(2, -1)):
+            with pytest.raises(ValidationError, match="seed -1 must be nonnegative"):
+                call()
+
 
 class TestPropertyCheck:
     def test_count_invariant(self):
