@@ -527,16 +527,28 @@ class TestParserBehavior:
             main(["frobnicate"])
         assert exc.value.code == 1
 
-    def test_search_settings_are_not_flags(self, capsys):
-        # the measurement search has fixed settings; the flags that once
-        # changed them are unrecognized arguments
-        for flag, value in (("--grid", "60x120"), ("--refine-iters", "200"),
-                            ("--tol", "1e-10")):
+    # the measurement search has fixed settings; the flags that once changed
+    # them are unrecognized arguments, whatever value they are given
+
+    def test_bad_grid_flag(self, capsys):
+        for bad in ("5", "1x5", "axb", "60x120"):
             for command in (["analyze", "ghz"], ["verify"],
                             ["discord2q", "m.json"]):
                 with pytest.raises(SystemExit) as exc:
-                    main(command + [flag, value])
-                assert exc.value.code == 1, (command, flag)
+                    main(command + ["--grid", bad])
+                assert exc.value.code == 1, (command, bad)
+                assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+    def test_bad_optimizer_flags(self, capsys):
+        for flag, bad in (("--refine-iters", "-5"), ("--refine-iters", "2.5"),
+                          ("--refine-iters", "200"), ("--tol", "nan"),
+                          ("--tol", "-1"), ("--tol", "inf"), ("--tol", "x"),
+                          ("--tol", "1e-10")):
+            for command in (["analyze", "ghz"], ["verify"],
+                            ["discord2q", "m.json"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(command + [flag, bad])
+                assert exc.value.code == 1, (command, flag, bad)
                 assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_bad_format_choice(self):
