@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,11 +292,70 @@ def _hemisphere(n_theta, n_phi):
     return th, ph, rows
 
 
+_Simplex = namedtuple("_Simplex", "x fun nit nfev success")
+
+
+def _simplex(fun, x0, *, maxiter, xatol, fatol, **_scipy_fixed):
+    """scipy 1.17's Nelder-Mead (non-adaptive, maxfev unset) on plain floats, bit for bit.
+
+    The reorder keeps np.argsort, whose tie order a stable sort does not
+    reproduce. _scipy_fixed takes the keywords minimize adds (jac, callback, ...).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n, nfev, nit = len(x0), 0, 1
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(x)
+
+    x0 = [float(v) for v in x0]
+    sim = [x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025] + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    fsim = [f(x) for x in sim]
+    for _ in range(2):  # scipy sorts twice before the first step
+        order = np.argsort(fsim).tolist()
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    while nit < maxiter:
+        best, worst = sim[0], sim[-1]
+        if (all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, best))
+                and all(abs(fsim[0] - y) <= fatol for y in fsim[1:])):
+            break
+        xbar = [functools.reduce(operator.add, c) / n for c in zip(*sim[:-1])]
+        xr = [(1 + rho) * a - rho * b for a, b in zip(xbar, worst)]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = [(1 + rho * chi) * a - rho * chi * b for a, b in zip(xbar, worst)]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction, kept unless worse than xr
+                xc = [(1 + psi * rho) * a - psi * rho * b for a, b in zip(xbar, worst)]
+                fxc = f(xc)
+                keep = fxc <= fxr
+            else:  # inside contraction, kept if better than the worst vertex
+                xc = [(1 - psi) * a + psi * b for a, b in zip(xbar, worst)]
+                fxc = f(xc)
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = [a + sigma * (b - a) for a, b in zip(best, sim[j])]
+                    fsim[j] = f(sim[j])
+        nit += 1
+        order = np.argsort(fsim).tolist()
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    return _Simplex(sim[0], fsim[0], nit, nfev, nit < maxiter)
+
+
 def _nelder_mead(objective, x0):
-    """scipy's Nelder-Mead from x0, with both convergence tolerances at 1e-10."""
+    """_simplex from x0 via scipy's minimize, which tracers wrap; tolerances 1e-10."""
     from scipy.optimize import minimize  # deferred: keep closed-form paths scipy-free
 
-    return minimize(objective, x0, method="Nelder-Mead",
+    return minimize(objective, x0, method=_simplex,
                     options={"maxiter": REFINE_ITERS_DEFAULT,
                              "xatol": REFINE_TOL_DEFAULT,
                              "fatol": REFINE_TOL_DEFAULT})

@@ -45,6 +45,13 @@ def _clamp_unit(x, what):
     return min(max(x, 0.0), 1.0)
 
 
+def _nonnegative_seed(seed):
+    """seed itself, after a ValidationError if it is negative."""
+    if int(seed) < 0:
+        raise ValidationError(f"seed {seed!r} must be nonnegative")
+    return seed
+
+
 def _party_labels(labels, n):
     """n distinct party labels as strings; None gives a, b, c, ..."""
     if labels is None:
@@ -267,7 +274,7 @@ def haar_random_pure(n_qubits: int, seed: int) -> PureState:
     """Haar-distributed pure state from seeded standard complex Gaussians."""
     if not 1 <= int(n_qubits) <= 6:
         raise ValidationError(f"n_qubits {n_qubits!r} outside supported range 1..6")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_nonnegative_seed(seed))
     d = 2 ** int(n_qubits)
     amp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(amp / np.linalg.norm(amp))
@@ -275,7 +282,7 @@ def haar_random_pure(n_qubits: int, seed: int) -> PureState:
 
 def random_mixed_state(n_qubits: int, seed: int) -> DensityMatrix:
     """Convex mixture of two to four Haar-random pure states."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_nonnegative_seed(seed))
     k = int(rng.integers(2, 5))
     d = 2 ** int(n_qubits)
     weights = rng.random(k)

@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .qstate import (
     DensityMatrix,
     PureState,
+    _nonnegative_seed,
     density_of,
     haar_random_pure,
     partial_trace,
@@ -143,9 +144,7 @@ class _Accumulator:
 
 def sub_seed(master_seed: int, index: int) -> int:
     """Counter-based split of the master seed; reproducible in isolation."""
-    if int(master_seed) < 0:
-        raise ValidationError(f"seed {master_seed!r} must be nonnegative")
-    ss = np.random.SeedSequence([int(master_seed), int(index)])
+    ss = np.random.SeedSequence([int(_nonnegative_seed(master_seed)), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -575,6 +575,21 @@ class TestProcessEntryPoints:
         proc = run_process("verify", "--samples", "abc")
         assert proc.returncode == 1
 
+    def test_closed_form_commands_do_not_import_scipy(self):
+        # only the measurement searches of mixed states need scipy
+        script = (
+            "import contextlib, io, sys\n"
+            "from qcorr.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['analyze', 'ghz']),\n"
+            "             main(['sweep', 'both', '0', '1', '0.5']),\n"
+            "             main(['verify', '--samples', '2'])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True)
+        assert proc.stdout == "[0, 0, 0] []\n", proc.stderr
+
 
 class TestNanInput:
     def test_nan_acin_coefficient_is_a_validation_error(self):

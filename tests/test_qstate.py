@@ -257,6 +257,11 @@ class TestSampling:
         with pytest.raises(ValidationError):
             haar_random_pure(7, 1)
 
+    def test_negative_seed_is_a_validation_error(self):
+        for make in (haar_random_pure, random_mixed_state):
+            with pytest.raises(ValidationError, match="seed -1 must be nonnegative"):
+                make(3, -1)
+
     def test_random_mixed_is_valid_and_mixed(self):
         rho = random_mixed_state(3, 7)
         assert rho.n_parties == 3
