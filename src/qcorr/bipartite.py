@@ -10,6 +10,7 @@ pure three-qubit states are provided for cross-checking the optimizer.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -176,9 +177,8 @@ def _outcome_entropies(w, weight):
     return np.where(valid, h, 0.0)
 
 
-def _outcome_entropy(w, weight):
+def _outcome_entropy(w0, w1, w2, w3, weight):
     """One outcome of _outcome_entropies, in plain floats."""
-    w0, w1, w2, w3 = w
     p = weight * w0
     if not p > 1e-12:
         return 0.0
@@ -210,21 +210,22 @@ def _bloch_xyz(theta, phi):
     return s * math.cos(phi), s * math.sin(phi), math.cos(theta)
 
 
-def _condition(r_rows, u):
-    """(R_0 + u.R, R_0 - u.R) from the rows R_0..R_3 of a Pauli tensor's first axis."""
-    r0, r1, r2, r3 = r_rows
-    ux, uy, uz = u
-    d = [ux * a + uy * b + uz * c for a, b, c in zip(r1, r2, r3)]
-    return [a + b for a, b in zip(r0, d)], [a - b for a, b in zip(r0, d)]
-
-
 def _one_angle_objective(r):
-    """f(x): S(other | measured along Bloch angles x), from the 4x4 tensor r."""
-    r_rows = r.tolist()
+    """f(x): S(other | measured along Bloch angles x), from the 4x4 tensor r.
+
+    Outcome a = +-1 along the Bloch vector u leaves the other party with
+    R_0 + a (u_x R_1 + u_y R_2 + u_z R_3), R_mu the rows of r.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = r.tolist()
 
     def entropy(x):
-        return sum(_outcome_entropy(w, 0.5)
-                   for w in _condition(r_rows, _bloch_xyz(x[0], x[1])))
+        ux, uy, uz = _bloch_xyz(x[0], x[1])
+        e0 = ux * b0 + uy * c0 + uz * d0
+        e1 = ux * b1 + uy * c1 + uz * d1
+        e2 = ux * b2 + uy * c2 + uz * d2
+        e3 = ux * b3 + uy * c3 + uz * d3
+        return (_outcome_entropy(a0 + e0, a1 + e1, a2 + e2, a3 + e3, 0.5)
+                + _outcome_entropy(a0 - e0, a1 - e1, a2 - e2, a3 - e3, 0.5))
 
     return entropy
 
@@ -295,11 +296,26 @@ def _hemisphere(n_theta, n_phi):
 _Simplex = namedtuple("_Simplex", "x fun nit nfev success")
 
 
+def _argsort(fsim):
+    """np.argsort(fsim).tolist(), by sorted() when no two values tie and none is NaN.
+
+    Distinct values have one ascending order, which any correct sort finds.
+    Ties, 0.0 against -0.0 included, keep np.argsort, whose tie order a
+    stable sort does not reproduce; so does NaN. A strictly increasing
+    sorted() result rules all three out, since every comparison with NaN is
+    false.
+    """
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if not fsim[i] < fsim[j]:
+            return np.argsort(fsim).tolist()
+    return order
+
+
 def _simplex(fun, x0, *, maxiter, xatol, fatol, **_scipy_fixed):
     """scipy 1.17's Nelder-Mead (non-adaptive, maxfev unset) on plain floats, bit for bit.
 
-    The reorder keeps np.argsort, whose tie order a stable sort does not
-    reproduce. _scipy_fixed takes the keywords minimize adds (jac, callback, ...).
+    _scipy_fixed takes the keywords minimize adds (jac, callback, ...).
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     n, nfev, nit = len(x0), 0, 1
@@ -314,7 +330,7 @@ def _simplex(fun, x0, *, maxiter, xatol, fatol, **_scipy_fixed):
                   for k, v in enumerate(x0)]
     fsim = [f(x) for x in sim]
     for _ in range(2):  # scipy sorts twice before the first step
-        order = np.argsort(fsim).tolist()
+        order = _argsort(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     while nit < maxiter:
         best, worst = sim[0], sim[-1]
@@ -346,7 +362,7 @@ def _simplex(fun, x0, *, maxiter, xatol, fatol, **_scipy_fixed):
                     sim[j] = [a + sigma * (b - a) for a, b in zip(best, sim[j])]
                     fsim[j] = f(sim[j])
         nit += 1
-        order = np.argsort(fsim).tolist()
+        order = _argsort(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     return _Simplex(sim[0], fsim[0], nit, nfev, nit < maxiter)
 
@@ -460,6 +476,7 @@ def to_pure(state) -> PureState:
 
 
 def _kw_parts(psi, i, j, what):
+    """Unfloored (J_{i:j}, D_{i:j}) of psi, from its own entropies and E(rho_ik)."""
     if isinstance(psi, DensityMatrix):
         psi = to_pure(psi)
     if not isinstance(psi, PureState) or psi.n_qubits != 3:
@@ -471,17 +488,44 @@ def _kw_parts(psi, i, j, what):
     rho = density_of(psi)
     ent = {x: von_neumann_entropy(partial_trace(rho, [x])) for x in psi.labels}
     e_ik = eof_from_concurrence(concurrence(partial_trace(rho, [i, k])))
-    return ent, e_ik, k
+    return _kw_forms(ent, e_ik, i, j, k)
+
+
+def _kw_forms(s, e_ik, i, j, k):
+    """Koashi-Winter J_{i:j} = S_i - E_ik and D_{i:j} = S_j - S_k + E_ik, unfloored.
+
+    s maps each party of a pure three-qubit state to its one-qubit entropy,
+    e_ik is the entanglement of formation of parties i and k, and j is measured.
+    """
+    return s[i] - e_ik, s[j] - s[k] + e_ik
+
+
+def _kw_table(rho, pair_rho):
+    """{(i, j): (koashi_winter_classical, koashi_winter_discord)} for every ordered pair.
+
+    rho is the density matrix of a pure three-qubit state and pair_rho maps
+    frozenset((i, k)) to partial_trace(rho, [i, k]); the one-qubit entropies
+    and the three pair EoFs are computed once for all six pairs.
+    """
+    labels = rho.parties
+    s = {x: von_neumann_entropy(partial_trace(rho, [x])) for x in labels}
+    eof = {pair: eof_from_concurrence(concurrence(red)) for pair, red in pair_rho.items()}
+    table = {}
+    for i, j in itertools.permutations(labels, 2):
+        (k,) = [x for x in labels if x not in (i, j)]
+        j_cl, d = _kw_forms(s, eof[frozenset((i, k))], i, j, k)
+        table[(i, j)] = (_floor_zero(j_cl, "closed-form classical correlation"),
+                         _floor_zero(d, "closed-form discord"))
+    return table
 
 
 def koashi_winter_classical(psi, i, j) -> float:
     """Closed form J_{i:j} = S(rho_i) - E(rho_{i,k}) for pure tripartite psi."""
-    ent, e_ik, _ = _kw_parts(psi, i, j, "koashi_winter_classical")
-    return _floor_zero(ent[str(i)] - e_ik, "closed-form classical correlation")
+    return _floor_zero(_kw_parts(psi, i, j, "koashi_winter_classical")[0],
+                       "closed-form classical correlation")
 
 
 def koashi_winter_discord(psi, i, j) -> float:
     """Closed form D_{i:j} = S(rho_j) - S(rho_k) + E(rho_{i,k})."""
-    ent, e_ik, k = _kw_parts(psi, i, j, "koashi_winter_discord")
-    return _floor_zero(ent[str(j)] - ent[k] + e_ik, "closed-form discord")
-
+    return _floor_zero(_kw_parts(psi, i, j, "koashi_winter_discord")[1],
+                       "closed-form discord")

@@ -10,6 +10,7 @@ invariant failure, 4 verification violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -144,11 +145,18 @@ def _json_dumps(obj) -> str:
 
 
 def _write_text(path, text):
-    # write-then-rename so readers never observe a partial file
+    # write-then-rename so readers never observe a partial file; a failed
+    # write or rename removes the temp file before the error propagates
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    handle = open(tmp, "w", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _load_analyze_state(token):

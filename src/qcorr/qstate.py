@@ -42,7 +42,7 @@ def _clamp_unit(x, what):
     x = float(x)
     if not -1e-12 <= x <= 1.0 + 1e-12:  # nan fails too
         raise ValidationError(f"{what} {x!r} outside [0, 1]")
-    return min(max(x, 0.0), 1.0)
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x  # min(max(x, 0), 1), -0.0 kept
 
 
 def _nonnegative_seed(seed):
@@ -240,7 +240,7 @@ def binary_entropy(x: float) -> float:
     x = _clamp_unit(x, "binary entropy argument")
     if x == 0.0 or x == 1.0:
         return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def relative_entropy(rho, sigma) -> float:

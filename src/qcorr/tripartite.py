@@ -34,8 +34,8 @@ from .qstate import (
 from .bipartite import (
     TIE_TOL,
     _bloch_xyz,
-    _condition,
     _hemisphere,
+    _kw_forms,
     _min_conditional_entropy,
     _outcome_entropies,
     _outcome_entropy,
@@ -287,7 +287,7 @@ class _ClosedForm:
     def discord_dir(self, i, j):
         # D_{i:j} with measurement on j; k is the remaining party
         (k,) = [x for x in self.psi.labels if x not in (i, j)]
-        return self.s(j) - self.s(k) + self.e(i, k)
+        return _kw_forms(self.s1, self.e(i, k), i, j, k)[1]
 
     def pair_discord(self, i, j):
         return min(self.discord_dir(i, j), self.discord_dir(j, i))
@@ -565,15 +565,26 @@ def _measured_tensor(rho, k, what):
 
 
 def _two_angle_objective(r):
-    """f(x): S(k | u at Bloch angles x[:2] on i, v at x[2:] on j), from r."""
-    r_rows = r.reshape(4, 16).tolist()
+    """f(x): S(k | u at Bloch angles x[:2] on i, v at x[2:] on j), from r.
+
+    Outcome a of u leaves M = R_0 + a u.R on (j, k), R_mu = r[mu] flattened;
+    outcome b of v then leaves k with M_0 + b v.M, M_nu the 4-blocks of M.
+    """
+    r0, r1, r2, r3 = r.reshape(4, 16).tolist()
 
     def entropy(x):
-        v = _bloch_xyz(x[2], x[3])
+        ux, uy, uz = _bloch_xyz(x[0], x[1])
+        vx, vy, vz = _bloch_xyz(x[2], x[3])
+        d = [ux * a + uy * b + uz * c for a, b, c in zip(r1, r2, r3)]
         total = 0.0
-        for m in _condition(r_rows, _bloch_xyz(x[0], x[1])):
-            for w in _condition((m[0:4], m[4:8], m[8:12], m[12:16]), v):
-                total += _outcome_entropy(w, 0.25)
+        for m in ([a + b for a, b in zip(r0, d)], [a - b for a, b in zip(r0, d)]):
+            m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = m
+            e0 = vx * m4 + vy * m8 + vz * m12
+            e1 = vx * m5 + vy * m9 + vz * m13
+            e2 = vx * m6 + vy * m10 + vz * m14
+            e3 = vx * m7 + vy * m11 + vz * m15
+            total += _outcome_entropy(m0 + e0, m1 + e1, m2 + e2, m3 + e3, 0.25)
+            total += _outcome_entropy(m0 - e0, m1 - e1, m2 - e2, m3 - e3, 0.25)
         return total
 
     return entropy

@@ -32,6 +32,7 @@ from .qstate import (
     von_neumann_entropy,
 )
 from .bipartite import (
+    _kw_table,
     classical_correlation_directional,
     concurrence,
     eof_from_concurrence,
@@ -381,15 +382,17 @@ def oracle_crosscheck(n_samples: int, seed: int, states=None) -> ViolationReport
     """
     def margins_of(psi, _):
         rho = density_of(psi)
+        pair_rho = {frozenset(pair): partial_trace(rho, pair)
+                    for pair in itertools.combinations(psi.labels, 2)}
+        closed = _kw_table(rho, pair_rho)
         worst_j = 0.0
         worst_d = 0.0
         worst_beat = -math.inf
         for i, j in itertools.permutations(psi.labels, 2):
-            red = partial_trace(rho, [i, j])
+            red = pair_rho[frozenset((i, j))]
             direct = classical_correlation_directional(red, j)
-            j_closed = koashi_winter_classical(psi, i, j)
+            j_closed, d_closed = closed[(i, j)]
             d_opt = mutual_information(red) - direct.value
-            d_closed = koashi_winter_discord(psi, i, j)
             worst_j = max(worst_j, abs(direct.value - j_closed))
             worst_d = max(worst_d, abs(d_opt - d_closed))
             # projective measurements are a POVM subset, so the optimizer

@@ -312,6 +312,17 @@ class TestSweep:
         assert code == 2
         assert "i/o error" in err
 
+    def test_failed_rename_leaves_no_temp_file(self, capsys, tmp_path):
+        # the temp file is written, then os.replace onto a directory fails
+        target = tmp_path / "out"
+        target.mkdir()
+        code, _, err = run_main(capsys, "sweep", "both", "0", "1", "0.5",
+                                "--out", str(target))
+        assert code == 2
+        assert "i/o error" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert list(target.iterdir()) == []
+
 
 class TestVerify:
     def test_negative_seed(self, capsys):

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qcorr import verify
 from qcorr import (
     N_PARTY_CHECKS,
     PropertyCheck,
@@ -14,6 +16,8 @@ from qcorr import (
     explore_pairwise_order_n,
     ghz_state,
     haar_random_pure,
+    koashi_winter_classical,
+    koashi_winter_discord,
     oracle_crosscheck,
     run_suite,
     sub_seed,
@@ -21,6 +25,25 @@ from qcorr import (
 )
 
 THREE_QUBIT_NAMES = [name for name, _ in THREE_QUBIT_CHECKS]
+
+# oracle_crosscheck(20, 0).to_dict() and the largest margin each check saw,
+# recorded before the oracle gathered its closed forms once per sample
+ORACLE_20_0_REPR = (
+    "{'seed': 0, 'n_samples': 20, 'passes': True, 'checks': [{'name': "
+    "'oracle_classical', 'tolerance': 0.001, 'count_checked': 20, "
+    "'count_violated': 0, 'worst_margin': None, 'worst_seed': None}, {'name': "
+    "'oracle_discord', 'tolerance': 0.001, 'count_checked': 20, "
+    "'count_violated': 0, 'worst_margin': None, 'worst_seed': None}, {'name': "
+    "'optimizer_beats_closed_form', 'tolerance': 0.001, 'count_checked': 20, "
+    "'count_violated': 0, 'worst_margin': None, 'worst_seed': None}, {'name': "
+    "'numerics', 'tolerance': 0.0, 'count_checked': 20, 'count_violated': 0, "
+    "'worst_margin': None, 'worst_seed': None}]}")
+ORACLE_20_0_WORST_REPR = {
+    "oracle_classical": "1.6653345369377348e-15",
+    "oracle_discord": "8.104628079763643e-15",
+    "optimizer_beats_closed_form": "1.6653345369377348e-15",
+    "numerics": "0.0",
+}
 
 
 def bell_with_spectator():
@@ -189,6 +212,42 @@ class TestOracleCrosscheck:
 
     def test_haar_states_agree(self):
         assert oracle_crosscheck(3, 0).passes
+
+    def test_matches_recorded_values(self, monkeypatch):
+        worst = {}
+        add = verify._Accumulator.add
+
+        def recording_add(acc, margin, seed):
+            worst[acc.name] = max(worst.get(acc.name, margin), margin)
+            add(acc, margin, seed)
+
+        monkeypatch.setattr(verify._Accumulator, "add", recording_add)
+        assert repr(oracle_crosscheck(20, 0).to_dict()) == ORACLE_20_0_REPR
+        assert {k: repr(v) for k, v in worst.items()} == ORACLE_20_0_WORST_REPR
+
+    def test_closed_forms_equal_public_ones(self, monkeypatch):
+        # the J and D each oracle sample compares against, == the public
+        # koashi_winter_* on every ordered pair
+        zero_bell = PureState(np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=complex)
+                              / math.sqrt(2.0))
+        product = PureState(np.eye(8, dtype=complex)[0])
+        states = ([haar_random_pure(3, s) for s in range(20)]
+                  + [ghz_state(), w_state(), zero_bell, product])
+        tables = []
+        kw_table = verify._kw_table
+
+        def recording_table(rho, pair_rho):
+            tables.append(kw_table(rho, pair_rho))
+            return tables[-1]
+
+        monkeypatch.setattr(verify, "_kw_table", recording_table)
+        assert oracle_crosscheck(len(states), 0, states=states).passes
+        assert len(tables) == len(states)
+        for psi, table in zip(states, tables):
+            assert table == {
+                (i, j): (koashi_winter_classical(psi, i, j),
+                         koashi_winter_discord(psi, i, j))
+                for i, j in itertools.permutations(psi.labels, 2)}
 
     def test_exception_counts_as_numerics_violation(self):
         two_qubit = PureState(
