@@ -143,38 +143,41 @@ def eof_from_concurrence(c: float) -> float:
     return binary_entropy((1.0 + math.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
 
 
-def _h2_vec(lam):
-    lam = np.minimum(np.maximum(lam, 0.0), 1.0)  # np.clip, minus its call overhead
-    rest = 1.0 - lam
-    # -lam*log2(lam) - rest*log2(rest) in place; the endpoints give
-    # 0 * -inf = nan, which the mask replaces by 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.log2(lam)
-        np.negative(np.multiply(h, lam, out=h), out=h)
-        tail = np.log2(rest)
-        h -= np.multiply(tail, rest, out=tail)
-    return np.where((lam > 0.0) & (lam < 1.0), h, 0.0)
-
-
 def _outcome_entropies(w, weight):
     """p h((1 + |w_vec| / w_0) / 2) per outcome, p = weight * w_0, for planes w[0..3].
 
     w holds the Pauli components of the unnormalized conditional states;
-    outcomes with p at or below 1e-12 give 0.
+    outcomes with p at or below 1e-12 give 0. The result is written over
+    w[3] and the other planes serve as scratch. Every constant takes w's
+    dtype, so a float32 stack is computed in float32 under numpy 1.x
+    value-based casting and under NEP 50 alike.
     """
-    w0 = w[0]
-    p = w0 * weight
-    lam = w[1] * w[1]
-    lam += w[2] * w[2]
-    lam += w[3] * w[3]
+    t = w.dtype.type
+    rest, lam, p, h = w  # rest holds w_0 until lam is divided by it
+    lam *= lam
+    p *= p
+    lam += p
+    np.multiply(h, h, out=p)
+    lam += p
     np.sqrt(lam, out=lam)
-    valid = p > 1e-12
-    lam /= np.where(valid, w0, 1.0)
-    lam += 1.0
-    lam *= 0.5
-    h = _h2_vec(lam)
+    np.multiply(rest, t(weight), out=p)
+    valid = p > t(1e-12)
+    np.divide(lam, rest, out=lam, where=valid)  # elsewhere lam / 1.0
+    lam += t(1.0)
+    lam *= t(0.5)
+    # lam >= 1/2 for every outcome, so only the upper end needs a clip. h(1)
+    # comes out as 0 * log2(0) = nan, and so does a nan lam: both give 0
+    np.minimum(lam, t(1.0), out=lam)
+    valid &= lam < t(1.0)
+    np.subtract(t(1.0), lam, out=rest)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log2(lam, out=h)
+        np.negative(np.multiply(h, lam, out=h), out=h)
+        np.log2(rest, out=lam)
+        h -= np.multiply(lam, rest, out=lam)
     h *= p
-    return np.where(valid, h, 0.0)
+    np.copyto(h, t(0.0), where=~valid)
+    return h
 
 
 def _outcome_entropy(w0, w1, w2, w3, weight):

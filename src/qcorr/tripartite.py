@@ -51,9 +51,14 @@ from .bipartite import (
 
 CUT_PRODUCT_TOL = 1e-6
 DOUBLE_GRID_DEFAULT = 30
-# u points per block of the two-angle grid scan: 16 of the default 421 give
-# 0.9 MB of w planes per pass; 32 ran no faster and raised peak RSS by 4%
+# u points per block of the two-angle grid fill: 16 of the default 421 give
+# 0.65 MB of buffers in float32 (1.3 MB in float64), reused from block to
+# block; 8, 32 and 64 filled the grid in the same time to within 10%
 _BLOCK_ROWS = 16
+# the float32 screen of the two-angle grid drops a u row only when its least
+# value exceeds the screen's least value by more than this; see
+# min_double_conditional_entropy for why no output can move
+SCREEN_MARGIN = 1e-4
 SWEEP_MAX_POINTS = 100_001
 CROSSOVER_TOL = 1e-4
 
@@ -590,27 +595,36 @@ def _two_angle_objective(r):
     return entropy
 
 
-def _two_angle_values(r, rows, block=_BLOCK_ROWS):
-    """_two_angle_objective at every pair of the outcome rows' points, vectorized.
+def _two_angle_values(r, rows, points=None, dtype=np.float64, block=_BLOCK_ROWS):
+    """_two_angle_objective at pairs of the outcome rows' points, vectorized.
 
-    Returns an (n, n) array, u on the first axis. u points are filled block
-    at a time to bound the memory of one pass. The v side is contracted
-    elementwise, not by a matrix product, whose rounding at the edges of
-    BLAS tiles would depend on the block; so no value depends on block.
+    Returns the grid rows of the u points in points (all n when None), each
+    against every v point, in dtype: u on the first axis. The matrix product
+    (1, +-u).R runs in float64 over every u row before points selects some,
+    and the v side is contracted elementwise, not by a matrix product, whose
+    rounding at the edges of BLAS tiles would depend on the shape; so no
+    value depends on points or block. u points are filled block at a time,
+    into buffers reused from block to block, to bound the memory of one pass.
     """
     n = len(rows) // 2
-    v = rows[0::2, 1:]
+    v = rows[0::2, 1:].astype(dtype)
     # (lambda, u row, nu): (1, +-u).R for every u row
     ur = (rows @ r.reshape(4, 16)).reshape(2 * n, 4, 4).transpose(2, 0, 1)
-    values = np.empty((n, n))
-    for lo in range(0, n, block):
-        m = ur[:, 2 * lo:2 * min(lo + block, n), :, None]
-        c = m[:, :, 0]
-        e = m[:, :, 1] * v[:, 0]
-        e += m[:, :, 2] * v[:, 1]
-        e += m[:, :, 3] * v[:, 2]
-        # w[lambda, u row, b, v] for the outcomes b = +1, -1 of v
-        w = np.empty(e.shape[:2] + (2, n))
+    if points is not None:
+        ur = ur[:, np.add.outer(2 * np.asarray(points), (0, 1)).ravel()]
+    ur = ur.astype(dtype)
+    values = np.empty((ur.shape[1] // 2, n), dtype)
+    size = 2 * min(block, len(values))
+    e_buf = np.empty((4, size, n), dtype)
+    # w[lambda, u row, b, v] for the outcomes b = +1, -1 of v
+    w_buf = np.empty((4, size, 2, n), dtype)
+    for lo in range(0, len(values), block):
+        m = ur[:, 2 * lo:2 * (lo + block), :, None]
+        e, w = e_buf[:, :m.shape[1]], w_buf[:, :m.shape[1]]
+        c, scratch = m[:, :, 0], w[:, :, 0]
+        np.multiply(m[:, :, 1], v[:, 0], out=e)
+        e += np.multiply(m[:, :, 2], v[:, 1], out=scratch)
+        e += np.multiply(m[:, :, 3], v[:, 2], out=scratch)
         np.add(c, e, out=w[:, :, 0])
         np.subtract(c, e, out=w[:, :, 1])
         h = _outcome_entropies(w, 0.25).reshape(-1, 4, n)
@@ -632,6 +646,27 @@ def double_conditional_entropy(rho, k, bases) -> float:
     return _two_angle_objective(r)((u.theta, u.phi, v.theta, v.phi))
 
 
+def _screen_rows(screen):
+    """u rows of the float32 screen grid that can hold the exact grid minimum.
+
+    A row is dropped only when its least value exceeds the least value of
+    the whole grid by more than SCREEN_MARGIN. The test is negated so that
+    nan drops nothing: a grid holding a nan has a nan minimum, and then
+    every row is kept.
+    """
+    row_min = screen.min(axis=1).astype(np.float64)
+    return np.flatnonzero(~(row_min > row_min.min() + SCREEN_MARGIN))
+
+
+def _screened_values(r, rows):
+    """The two-angle grid, exact in the rows that _screen_rows keeps, +inf in the rest."""
+    screen = _two_angle_values(r, rows, dtype=np.float32)
+    keep = _screen_rows(screen)
+    values = np.full(screen.shape, np.inf)
+    values[keep] = _two_angle_values(r, rows, keep)
+    return values
+
+
 def min_double_conditional_entropy(rho, k) -> float:
     """Minimum of the double conditional entropy over product measurements.
 
@@ -640,10 +675,26 @@ def min_double_conditional_entropy(rho, k) -> float:
     full grid once up to an outcome swap, and Nelder-Mead refines the grid
     minimum as in the one-party search. For pure global states every
     product measurement already yields zero.
+
+    The 421 x 421 grid is first filled in float32, and only the u rows whose
+    float32 minimum lies within SCREEN_MARGIN of the float32 grid minimum
+    are filled again in float64; the others read +inf. Each float64 row is
+    byte for byte the row of the dense float64 grid, so the search sees the
+    same minimum, start point and start value. Why: let E bound the
+    float32 error of every cell. A cell within TIE_TOL of the exact minimum
+    m has float32 value at most m + TIE_TOL + E, and the float32 minimum is
+    at least m - E, so its row is kept whenever SCREEN_MARGIN >= 2 E +
+    TIE_TOL. The only ill-conditioned term is (1 - lam) log2(1 - lam) as
+    lam -> 1: an error of about 1.2e-7 in lam moves it by about
+    1.2e-7 * log2(1 / 1.2e-7), some 3e-6. The largest error measured was
+    1.1e-6 over random mixed states and 2.8e-6 on near-pure and degenerate
+    mixtures, so 2 E + TIE_TOL stays over 15 times below SCREEN_MARGIN. A
+    flat landscape, such as that of I/8, keeps every row and pays for the
+    float32 pass on top of the float64 one.
     """
     r = _measured_tensor(rho, k, "min_double_conditional_entropy")
     th, ph, rows = _hemisphere(DOUBLE_GRID_DEFAULT, DOUBLE_GRID_DEFAULT)
-    return _search(_two_angle_objective(r), _two_angle_values(r, rows), th, ph)[0]
+    return _search(_two_angle_objective(r), _screened_values(r, rows), th, ph)[0]
 
 
 def total_classical_mixed(rho) -> float:

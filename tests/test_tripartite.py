@@ -43,7 +43,7 @@ from qcorr import (
     total_information,
     w_state,
 )
-from qcorr import tripartite
+from qcorr import bipartite, tripartite
 from qcorr.tripartite import CUT_PRODUCT_TOL, SWEEP_MAX_POINTS, sweep_grid
 from qcorr.verify import _haar_local_unitary
 
@@ -580,10 +580,18 @@ class TestDoubleConditional:
         # moved any value could move the Nelder-Mead start point
         r = tripartite._measured_tensor(random_mixed_state(3, seed), "b", "test")
         rows = tripartite._hemisphere(30, 30)[2]
-        want = tripartite._two_angle_values(r, rows, 421).tobytes()
+        full = tripartite._two_angle_values(r, rows, block=421)
+        want = full.tobytes()
         for block in (1, 3, 7, 16):
-            got = tripartite._two_angle_values(r, rows, block).tobytes()
+            got = tripartite._two_angle_values(r, rows, block=block).tobytes()
             assert got == want, block
+        # the screened search fills only some u rows in float64; each must be
+        # the dense grid's row byte for byte
+        picks = ([0], [5, 17, 420],
+                 np.random.default_rng(seed).choice(421, 40, replace=False))
+        for points in picks:
+            got = tripartite._two_angle_values(r, rows, points)
+            assert got.tobytes() == full[points].tobytes(), points
 
     def test_double_entropy_is_bit_identical_to_recorded_values(self):
         states = (random_mixed_state(3, 5), random_mixed_state(3, 17))
@@ -593,6 +601,146 @@ class TestDoubleConditional:
             bases = (MeasurementBasis(x[0], x[1]), MeasurementBasis(x[2], x[3]))
             got = double_conditional_entropy(states[i % 2], "abc"[i % 3], bases)
             assert repr(got) == want, i
+
+
+def near_pure_mixtures():
+    """(state, kept party): nearly pure and degenerate mixtures.
+
+    Their grids hold outcome states close to pure, where the float32 error of
+    (1 - lam) log2(1 - lam) is largest, and flat or degenerate minima.
+    """
+    ghz, w = density_of(ghz_state()).matrix, density_of(w_state()).matrix
+    haar = density_of(haar_random_pure(3, 7)).matrix
+    zero = np.zeros((8, 8), dtype=complex)
+    zero[0, 0] = 1.0
+    mixed = np.eye(8) / 8.0
+    pairs = [(ghz, w), (w, ghz), (haar, ghz), (zero, ghz), (w, mixed)]
+    return [(DensityMatrix((1 - eps) * a + eps * b, ("a", "b", "c")), "abc"[i % 3])
+            for i, (eps, (a, b)) in enumerate(itertools.product((1e-2, 1e-5, 1e-8), pairs))]
+
+
+class _StartOnly:
+    """Stands in for Nelder-Mead: never improves, so _search returns its start."""
+
+    fun = math.inf
+
+    def __init__(self, objective, x0):
+        pass
+
+
+class _DtypeGuard(np.ndarray):
+    """ndarray whose ufuncs fail on a float operand of another dtype.
+
+    A Python float fails too: each constant must carry the pass's dtype, or
+    numpy 1.x value-based casting and NEP 50 could promote differently.
+    """
+
+    expected = None
+    checked = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        for x in inputs + out:
+            assert type(x) is not float, f"untyped constant in {ufunc.__name__}"
+            kind = getattr(x, "dtype", np.dtype(bool)).kind
+            assert kind != "f" or x.dtype == _DtypeGuard.expected, (ufunc.__name__, x.dtype)
+        _DtypeGuard.checked += 1
+        plain = [x.view(np.ndarray) if isinstance(x, _DtypeGuard) else x for x in inputs]
+        if out:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return (out[0] if len(out) == 1 else out) if out else result
+
+
+class TestGridScreen:
+    """The float32 screen of the two-angle grid moves no search start."""
+
+    TH, PH, ROWS = tripartite._hemisphere(30, 30)
+
+    def grids(self, rho, kept):
+        r = tripartite._measured_tensor(rho, kept, "test")
+        dense = tripartite._two_angle_values(r, self.ROWS)
+        screen = tripartite._two_angle_values(r, self.ROWS, dtype=np.float32)
+        return r, dense, screen
+
+    def check_screen(self, rho, kept):
+        _, dense, screen = self.grids(rho, kept)
+        err = np.abs(screen.astype(np.float64) - dense).max()
+        assert err <= tripartite.SCREEN_MARGIN / 10, err
+        # rows the screen keeps hold the dense grid's bytes (tested above)
+        screened = np.full(dense.shape, np.inf)
+        keep = tripartite._screen_rows(screen)
+        screened[keep] = dense[keep]
+        got = tripartite._search(None, screened, self.TH, self.PH)
+        assert got == tripartite._search(None, dense, self.TH, self.PH)
+        return keep
+
+    def test_pool_states_keep_their_search_start(self, monkeypatch):
+        # the 48 mixed_report pool states and its warm-up input 100
+        monkeypatch.setattr(bipartite, "_nelder_mead", _StartOnly)
+        kept_rows = [len(self.check_screen(random_mixed_state(3, seed), kept))
+                     for seed in list(range(48)) + [100] for kept in "abc"]
+        assert max(kept_rows) < 10, kept_rows
+
+    def test_near_pure_mixtures_keep_their_search_start(self, monkeypatch):
+        monkeypatch.setattr(bipartite, "_nelder_mead", _StartOnly)
+        for rho, kept in near_pure_mixtures():
+            self.check_screen(rho, kept)
+
+    def test_refined_search_equals_the_dense_grid_search(self):
+        # Nelder-Mead included, on the input that stops at maxiter
+        for kept in "abc":
+            r, dense, _ = self.grids(random_mixed_state(3, 100), kept)
+            objective = tripartite._two_angle_objective(r)
+            screened = tripartite._screened_values(r, self.ROWS)
+            assert (tripartite._search(objective, screened, self.TH, self.PH)
+                    == tripartite._search(objective, dense, self.TH, self.PH))
+
+    def test_flat_landscape_keeps_every_row(self, monkeypatch):
+        monkeypatch.setattr(bipartite, "_nelder_mead", _StartOnly)
+        flat = DensityMatrix(np.eye(8) / 8.0, ("a", "b", "c"))
+        r = tripartite._measured_tensor(flat, "c", "test")
+        values = tripartite._screened_values(r, self.ROWS)
+        assert np.isfinite(values).all()
+        start = tripartite._search(None, values, self.TH, self.PH)
+        assert start == (values[0, 0], [0.0] * 4)
+
+    def test_nan_row_is_kept(self):
+        rough = np.random.default_rng(0).random((421, 421), dtype=np.float32)
+        rough[7] += np.float32(5.0)
+        assert 7 not in tripartite._screen_rows(rough)
+        rough[7, 30] = np.nan
+        assert 7 in tripartite._screen_rows(rough)
+
+    @pytest.mark.parametrize("dtype, points", [(np.float32, None), (np.float64, [3, 200])])
+    def test_each_pass_computes_in_its_own_dtype(self, monkeypatch, dtype, points):
+        # the screen must stay float32 throughout, or it is no faster; every
+        # buffer the fill allocates checks the operands of each ufunc on it
+        class GuardedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape, dtype):
+                return np.empty(shape, dtype).view(_DtypeGuard)
+
+        monkeypatch.setattr(tripartite, "np", GuardedNumpy())
+        monkeypatch.setattr(_DtypeGuard, "expected", np.dtype(dtype))
+        monkeypatch.setattr(_DtypeGuard, "checked", 0)
+        r = tripartite._measured_tensor(random_mixed_state(3, 5), "a", "test")
+        got = tripartite._two_angle_values(r, self.ROWS, points, dtype)
+        assert got.dtype == dtype and _DtypeGuard.checked > 20
+
+    def test_screen_is_float32_and_exact_pass_float64(self, monkeypatch):
+        calls = []
+        fill = tripartite._two_angle_values
+
+        def recorded(r, rows, points=None, dtype=np.float64):
+            values = fill(r, rows, points, dtype)
+            calls.append((points is None, values.dtype))
+            return values
+
+        monkeypatch.setattr(tripartite, "_two_angle_values", recorded)
+        min_double_conditional_entropy(random_mixed_state(3, 5), "a")
+        assert calls == [(True, np.float32), (False, np.float64)]
 
 
 class TestSweepAndCrossover:
