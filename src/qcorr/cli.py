@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("state", help="state file or named state (ghz, w, "
                       "ghz_tilde:p=0.8, w_tilde:p=0.8, acin:l0,l1,l2,l3,l4[,theta])")
     p_an.add_argument("--format", choices=("table", "json"), default="table")
-    p_an.add_argument("--pure-only", action="store_true",
-                      help="fail instead of falling back to the optimizer path")
     p_an.add_argument("--dump-reductions", metavar="DIR",
                       help="write each two-qubit reduction as matrix JSON")
     p_an.set_defaults(func=cmd_analyze)
@@ -168,7 +166,7 @@ def _load_analyze_state(token):
 
 def cmd_analyze(args) -> int:
     state = _load_analyze_state(args.state)
-    report = tripartite.correlation_report(state, require_pure=args.pure_only)
+    report = tripartite.correlation_report(state)
     if args.dump_reductions:
         _dump_reductions(state, args.dump_reductions)
     if args.format == "json":
@@ -189,8 +187,7 @@ def cmd_analyze(args) -> int:
 
 
 def _dump_reductions(state, directory):
-    rho = state if isinstance(state, qstate.DensityMatrix) else \
-        qstate.density_of(state)
+    rho = qstate.density_of(state)
     os.makedirs(directory, exist_ok=True)
     for i, j in itertools.combinations(rho.parties, 2):
         red = qstate.partial_trace(rho, [i, j])

@@ -25,8 +25,6 @@ FILE_NORM_TOL = 1e-8
 ROUNDING_SLACK = 1e-9  # how far a closed form or entropy sum may round below 0
 OPTIMIZER_SLACK = 1e-6  # the same for measurement-search results
 
-LOG2 = math.log(2.0)
-
 
 def _floor_zero(x, what, slack=ROUNDING_SLACK):
     """max(0.0, x) of a nonnegative quantity; nan or x below -slack raises."""
@@ -58,6 +56,8 @@ def _party_labels(labels, n):
         if n > 26:
             raise ValidationError(f"no default labels for {n} parties")
         return tuple(string.ascii_lowercase[:n])
+    if isinstance(labels, (str, dict)):  # iterable, but not a list of names
+        raise ValidationError(f"party labels {labels!r} are not a list")
     try:
         labels = tuple(str(x) for x in labels)
     except TypeError:  # not iterable
@@ -333,7 +333,7 @@ def parse_state_json(text: str) -> PureState:
     if missing:
         raise ValidationError(f"state file missing keys: {missing}")
     n = data["n"]
-    if not isinstance(n, int) or not 1 <= n <= 6:
+    if type(n) is not int or not 1 <= n <= 6:  # bool is an int
         raise ValidationError(f"field n must be an integer in 1..6, got {n!r}")
     raw = data["amplitudes"]
     if not isinstance(raw, list) or len(raw) != 2**n:

@@ -262,70 +262,6 @@ def genuine_total_via_relative_entropy(rho) -> float:
     return min(values)
 
 
-class _ClosedForm:
-    """Shared scaffolding for the pure-state closed forms."""
-
-    __slots__ = ("psi", "rho", "s1", "pair_rho", "pair_i", "order", "eof",
-                 "s_rho")
-
-    def __init__(self, psi):
-        self.psi = psi
-        self.rho = density_of(psi)
-        self.s1, self.pair_rho, self.pair_i = _entropies_and_pairs(self.rho)
-        self.s_rho = von_neumann_entropy(self.rho)
-        self.order = canonical_ordering(self.rho)
-        self.eof = {
-            pair: eof_from_concurrence(concurrence(red))
-            for pair, red in self.pair_rho.items()
-        }
-
-    def e(self, i, j):
-        return _pair_lookup(self.eof, i, j)
-
-    def s(self, x):
-        return self.s1[x]
-
-    @property
-    def abc(self):
-        return self.order.permutation
-
-    def discord_dir(self, i, j):
-        # D_{i:j} with measurement on j; k is the remaining party
-        (k,) = [x for x in self.psi.labels if x not in (i, j)]
-        return _kw_forms(self.s1, self.e(i, k), i, j, k)[1]
-
-    def pair_discord(self, i, j):
-        return min(self.discord_dir(i, j), self.discord_dir(j, i))
-
-    def cut_mutual(self):
-        return _cut_mutual(self.abc, self.s1, self.pair_rho, self.s_rho)
-
-    # Shares of T in the canonical ordering. Only J2 is floored at zero here;
-    # the accessors and the report floor the others.
-
-    def total_classical(self):
-        _, b, c = self.abc
-        return self.s(b) + self.s(c) - self.e(b, c)
-
-    def total_discord(self):
-        a, b, c = self.abc
-        return self.s(a) + self.e(b, c)
-
-    def bipartite_classical(self):
-        _, b, c = self.abc
-        return _floor_zero(self.s(b) - self.e(b, c), "J2")
-
-    def bipartite_discord(self):
-        a, b, c = self.abc
-        if min(self.cut_mutual()) > CUT_PRODUCT_TOL:
-            return self.s(a) - self.s(c) + self.e(b, c)
-        return min(self.pair_discord(i, j)
-                   for i, j in itertools.combinations(self.psi.labels, 2))
-
-    def genuine(self):
-        return self.s(self.abc[2])
-
-
 def _cut_mutual(abc, s1, pair_rho, s_rho):
     """I(xy:z) across the cuts ab|c, ac|b and bc|a of the ordering abc."""
     a, b, c = abc
@@ -336,14 +272,12 @@ def _cut_mutual(abc, s1, pair_rho, s_rho):
 
 def total_classical_pure(psi) -> float:
     """J = S(rho_b) + S(rho_c) - E(rho_bc) in the canonical ordering."""
-    return _floor_zero(_ClosedForm(_pure_three(psi, "total_classical_pure"))
-                       .total_classical(), "J")
+    return _report_pure(_pure_three(psi, "total_classical_pure")).J
 
 
 def total_discord_pure(psi) -> float:
     """D = S(rho_a) + E(rho_bc) in the canonical ordering."""
-    return _floor_zero(_ClosedForm(_pure_three(psi, "total_discord_pure"))
-                       .total_discord(), "D")
+    return _report_pure(_pure_three(psi, "total_discord_pure")).D
 
 
 def bipartite_parts_pure(psi) -> tuple:
@@ -357,18 +291,25 @@ def bipartite_parts_pure(psi) -> tuple:
     returned instead (for those states the ordered form and the definition
     disagree, and the definition wins).
     """
-    cf = _ClosedForm(_pure_three(psi, "bipartite_parts_pure"))
-    return cf.bipartite_classical(), _floor_zero(cf.bipartite_discord(), "D2")
+    report = _report_pure(_pure_three(psi, "bipartite_parts_pure"))
+    return report.J2, report.D2
+
+
+def _last_party_entropy(psi, what):
+    """S(rho_c), with c the last party of canonical_ordering."""
+    rho = density_of(_pure_three(psi, what))
+    s1, _, pair_i = _entropies_and_pairs(rho)
+    return s1[_ordering(rho.parties, pair_i).permutation[2]]
 
 
 def genuine_classical(psi) -> float:
     """J3 = S(rho_c), the smallest one-qubit entropy."""
-    return _ClosedForm(_pure_three(psi, "genuine_classical")).genuine()
+    return _last_party_entropy(psi, "genuine_classical")
 
 
 def genuine_discord(psi) -> float:
     """D3 = S(rho_c); genuine classical and quantum correlations coincide."""
-    return _ClosedForm(_pure_three(psi, "genuine_discord")).genuine()
+    return _last_party_entropy(psi, "genuine_discord")
 
 
 def three_tangle(psi) -> float:
@@ -435,32 +376,47 @@ def family_w_tilde(p: float, labels=None) -> PureState:
 FAMILIES = {"ghz_tilde": family_ghz_tilde, "w_tilde": family_w_tilde}
 
 
-def correlation_report(state, require_pure=False) -> CorrelationReport:
+def correlation_report(state) -> CorrelationReport:
     """Assemble every quantifier for a three-qubit state.
 
     Pure inputs (largest eigenvalue above 1 - 1e-8) take the closed-form
-    path; mixed inputs run the measurement optimizers and leave tangle
-    unset. require_pure turns a mixed input into an error instead.
+    path; mixed inputs run the measurement optimizers and leave tangle unset.
     """
     rho = _as_three_party(state, "correlation_report")
     try:
         psi = to_pure(state if isinstance(state, PureState) else rho)
     except UnsupportedInputError:
-        if require_pure:
-            raise
-        psi = None
-    if psi is not None:
-        return _report_pure(psi)
-    return _report_mixed(rho)
+        return _report_mixed(rho)
+    return _report_pure(psi)
 
 
 def _report_pure(psi):
-    cf = _ClosedForm(psi)
-    # the cuts are computed twice: for the D2 branch and for the report field
-    return _assemble_report(sum(cf.s1.values()) - cf.s_rho, cf.total_classical(),
-                            cf.total_discord(), cf.bipartite_classical(),
-                            cf.bipartite_discord(), cf.order, cf.cut_mutual(),
-                            three_tangle(psi))
+    """Closed-form report of a pure three-qubit state psi."""
+    rho = density_of(psi)
+    s1, pair_rho, pair_i = _entropies_and_pairs(rho)
+    s_rho = von_neumann_entropy(rho)
+    # Three repeats held only by perfbench's pinned 133/223 per-sample counts
+    # (ROADMAP item 1), whose re-pin deletes them here: canonical_ordering
+    # rebuilds the table that _ordering(rho.parties, pair_i) would read, the
+    # cuts are computed for the D2 branch and again for the report field, and
+    # three_tangle re-derives rho, two pair reductions and their concurrences.
+    order = canonical_ordering(rho)
+    branch_cut = _cut_mutual(order.permutation, s1, pair_rho, s_rho)
+    tangle = three_tangle(psi)
+
+    eof = {pair: eof_from_concurrence(concurrence(red)) for pair, red in pair_rho.items()}
+    a, b, c = order.permutation
+    e_bc = _pair_lookup(eof, b, c)
+    if min(branch_cut) > CUT_PRODUCT_TOL:
+        d2 = s1[a] - s1[c] + e_bc
+    else:
+        # the definition: the least directional discord D_{i:j}, j measured
+        d2 = min(_kw_forms(s1, _pair_lookup(eof, i, k), i, j, k)[1]
+                 for i, j, k in itertools.permutations(psi.labels))
+    cut = _cut_mutual(order.permutation, s1, pair_rho, s_rho)
+    return _assemble_report(sum(s1.values()) - s_rho, s1[b] + s1[c] - e_bc,
+                            s1[a] + e_bc, _floor_zero(s1[b] - e_bc, "J2"), d2,
+                            order, cut, tangle)
 
 
 def _report_mixed(rho):

@@ -138,10 +138,6 @@ class TestAnalyze:
         assert "D2 = 0.000000" in lines
         assert "D3 = 1.000000" in lines
 
-    def test_pure_only_accepts_pure(self, capsys):
-        code, _, _ = run_main(capsys, "analyze", "ghz", "--pure-only")
-        assert code == 0
-
     def test_dump_reductions(self, capsys, tmp_path):
         out_dir = tmp_path / "red"
         code, _, err = run_main(capsys, "analyze", "w",
@@ -193,12 +189,14 @@ class TestAnalyze:
         assert "i/o error" in err
 
     def test_non_list_labels(self, capsys, tmp_path):
+        # a JSON string is iterable, but the format asks for a list
         path = tmp_path / "labels.json"
-        path.write_text(json.dumps({"n": 3, "labels": 5, "amplitudes":
-                                    [[1.0, 0.0]] + [[0.0, 0.0]] * 7}))
-        code, _, err = run_main(capsys, "analyze", str(path))
-        assert code == 1
-        assert err.startswith("qcorr: party labels 5")
+        for labels in (5, "abc"):
+            path.write_text(json.dumps({"n": 3, "labels": labels, "amplitudes":
+                                        [[1.0, 0.0]] + [[0.0, 0.0]] * 7}))
+            code, _, err = run_main(capsys, "analyze", str(path))
+            assert code == 1
+            assert err.startswith(f"qcorr: party labels {labels!r} are not a list")
 
     def test_wrong_qubit_count(self, capsys, tmp_path):
         path = tmp_path / "bell.json"
@@ -498,11 +496,12 @@ class TestDiscord2q:
 
     def test_non_list_parties(self, capsys, tmp_path):
         path = tmp_path / "parties.json"
-        path.write_text(json.dumps({"parties": 5, "matrix": json.loads(
-            matrix_to_json(random_mixed_state(2, 0)))["matrix"]}))
-        code, _, err = run_main(capsys, "discord2q", str(path))
-        assert code == 1
-        assert err.startswith("qcorr: party labels 5")
+        matrix = json.loads(matrix_to_json(random_mixed_state(2, 0)))["matrix"]
+        for parties in (5, "ab"):
+            path.write_text(json.dumps({"parties": parties, "matrix": matrix}))
+            code, _, err = run_main(capsys, "discord2q", str(path))
+            assert code == 1
+            assert err.startswith(f"qcorr: party labels {parties!r} are not a list")
 
     def test_non_psd_matrix(self, capsys, tmp_path):
         entries = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
@@ -561,6 +560,14 @@ class TestParserBehavior:
                     main(command + [flag, bad])
                 assert exc.value.code == 1, (command, flag, bad)
                 assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_pure_only_flag(self, capsys):
+        # analyze only ever loads pure states, so the flag that refused mixed
+        # ones is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "ghz", "--pure-only"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --pure-only" in capsys.readouterr().err
 
     def test_bad_format_choice(self):
         with pytest.raises(SystemExit) as exc:

@@ -288,6 +288,25 @@ class TestStateSerialization:
         with pytest.raises(ValidationError, match="norm"):
             parse_state_json(blob)
 
+    def test_file_labels_must_be_a_list(self):
+        # strings and objects are iterable, and read as characters or keys
+        # they would pass for a list
+        amps = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        for labels in ("ab", {"a": 0, "b": 1}):
+            blob = json.dumps({"n": 2, "labels": labels, "amplitudes": amps})
+            with pytest.raises(ValidationError, match="party labels .* are not a list"):
+                parse_state_json(blob)
+            blob = json.dumps({"parties": labels, "matrix": rows})
+            with pytest.raises(ValidationError, match="party labels .* are not a list"):
+                parse_matrix_json(blob)
+
+    def test_boolean_qubit_count_rejected(self):
+        blob = json.dumps({"n": True, "labels": ["a"],
+                           "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
+        with pytest.raises(ValidationError, match="field n must be an integer"):
+            parse_state_json(blob)
+
     def test_small_norm_deviation_renormalized(self):
         scale = 1.0 + 5e-9
         amps = [[scale / math.sqrt(2.0), 0.0], [0.0, 0.0], [0.0, 0.0],

@@ -392,17 +392,22 @@ class TestClosedFormReports:
             assert abs(rep.D2 + rep.D3 - rep.D) < 1e-12
 
     def test_report_matches_individual_closed_forms(self):
-        psi = haar_random_pure(3, 17)
-        rep = correlation_report(psi)
-        j2, d2 = bipartite_parts_pure(psi)
-        assert abs(rep.T - total_information(density_of(psi))) < 1e-12
-        assert abs(rep.J - total_classical_pure(psi)) < 1e-12
-        assert abs(rep.D - total_discord_pure(psi)) < 1e-12
-        assert abs(rep.J2 - j2) < 1e-12
-        assert abs(rep.D2 - d2) < 1e-12
-        assert abs(rep.J3 - genuine_classical(psi)) < 1e-9
-        assert abs(rep.D3 - genuine_discord(psi)) < 1e-9
-        assert abs(rep.tangle - three_tangle(psi)) < 1e-12
+        # the accessors read the report, so J, D, J2 and D2 agree bit for bit;
+        # genuine_* is S(rho_c): it equals J3 and D3 up to rounding on the
+        # ordered D2 branch, and D3 is a different quantity on the degenerate one
+        states = [haar_random_pure(3, seed) for seed in range(20)]
+        states += [ghz_state(), w_state(), PureState(np.eye(8)[0]),
+                   bell_with_spectator(), spectator_with_leak(5e-4)]
+        for psi in states:
+            rep = correlation_report(psi)
+            assert abs(rep.T - total_information(density_of(psi))) < 1e-12
+            assert rep.J == total_classical_pure(psi)
+            assert rep.D == total_discord_pure(psi)
+            assert (rep.J2, rep.D2) == bipartite_parts_pure(psi)
+            assert abs(rep.tangle - three_tangle(psi)) < 1e-12
+            if min(rep.cut_mutual) > CUT_PRODUCT_TOL:
+                assert abs(rep.J3 - genuine_classical(psi)) < 1e-9
+                assert abs(rep.D3 - genuine_discord(psi)) < 1e-9
 
     def test_genuine_classical_equals_discord(self):
         for seed in range(4):
@@ -486,10 +491,6 @@ class TestMixedReports:
         assert abs(rep.T2 - 1.0) < 1e-9
         assert abs(rep.J2 - 1.0) < 1e-6
         assert abs(rep.D2) < 1e-6
-
-    def test_require_pure_rejects_mixed(self):
-        with pytest.raises(UnsupportedInputError):
-            correlation_report(classical_ghz_mixture(), require_pure=True)
 
     def test_optimizer_matches_closed_form_on_pure_input(self):
         psi = w_state()
