@@ -454,12 +454,6 @@ def symmetrized_discord(rho_ab: DensityMatrix) -> float:
     return discord_from(mutual_information(rho_ab), symmetrized_classical(rho_ab))
 
 
-def _unsupported(what):
-    return UnsupportedInputError(
-        f"{what} requires a pure three-qubit state (closed form is only valid there)"
-    )
-
-
 def to_pure(state) -> PureState:
     """Dominant eigenvector of an almost-pure density matrix as a PureState.
 
@@ -472,18 +466,25 @@ def to_pure(state) -> PureState:
     vals, vecs = np.linalg.eigh(state.matrix)
     if vals[-1] <= 1.0 - 1e-8:
         raise UnsupportedInputError(
-            f"state is mixed (largest eigenvalue {vals[-1]!r})"
+            f"state is mixed (largest eigenvalue {float(vals[-1])!r})"
         )
     amp = vecs[:, -1]
     return PureState(amp / np.linalg.norm(amp), state.parties)
 
 
+def _pure_state(state, what, qubits=(3, 3)):
+    """Pure state of qubits[0]..qubits[1] qubits as a PureState, else UnsupportedInputError."""
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise ValidationError(f"{what} expects a PureState or DensityMatrix")
+    psi = to_pure(state)
+    if not qubits[0] <= psi.n_qubits <= qubits[1]:
+        raise UnsupportedInputError(f"{what} has no closed form for {psi.n_qubits} qubits")
+    return psi
+
+
 def _kw_parts(psi, i, j, what):
     """Unfloored (J_{i:j}, D_{i:j}) of psi, from its own entropies and E(rho_ik)."""
-    if isinstance(psi, DensityMatrix):
-        psi = to_pure(psi)
-    if not isinstance(psi, PureState) or psi.n_qubits != 3:
-        raise _unsupported(what)
+    psi = _pure_state(psi, what)
     i, j = str(i), str(j)
     if i == j or i not in psi.labels or j not in psi.labels:
         raise ValidationError(f"parties {i!r}, {j!r} must be distinct labels of {psi.labels!r}")

@@ -347,6 +347,8 @@ def parse_state_json(text: str) -> PureState:
     norm = float(np.linalg.norm(amp))
     if abs(norm - 1.0) > FILE_NORM_TOL:
         raise ValidationError(f"state file norm {norm!r} deviates from 1 beyond 1e-8")
+    if data["labels"] is None:  # the constructor would give null the default labels
+        raise ValidationError("party labels None are not a list")
     return PureState(amp / norm, data["labels"])
 
 
@@ -381,6 +383,8 @@ def parse_matrix_json(text: str) -> DensityMatrix:
             f"matrix must be 4x4 entries of [re, im] pairs, got shape {arr.shape}"
         )
     parties = data.get("parties", ["a", "b"])
+    if parties is None:  # null, unlike a missing key, is not a list of names
+        raise ValidationError("party labels None are not a list")
     return DensityMatrix(arr[..., 0] + 1j * arr[..., 1], parties)
 
 

@@ -39,7 +39,9 @@ from .bipartite import (
     _min_conditional_entropy,
     _outcome_entropies,
     _outcome_entropy,
+    _party_slot,
     _pauli_tensor,
+    _pure_state,
     _search,
     concurrence,
     eof_from_concurrence,
@@ -181,16 +183,6 @@ def _as_three_party(rho, what):
     return rho
 
 
-def _pure_three(psi, what):
-    if isinstance(psi, DensityMatrix):
-        psi = to_pure(psi)  # raises UnsupportedInputError when mixed
-    if not isinstance(psi, PureState):
-        raise ValidationError(f"{what} expects a PureState or DensityMatrix")
-    if psi.n_qubits != 3:
-        raise ValidationError(f"{what} expects three qubits, got {psi.n_qubits}")
-    return psi
-
-
 def _entropies_and_pairs(rho):
     labels = rho.parties
     s1 = {x: von_neumann_entropy(partial_trace(rho, [x])) for x in labels}
@@ -272,12 +264,12 @@ def _cut_mutual(abc, s1, pair_rho, s_rho):
 
 def total_classical_pure(psi) -> float:
     """J = S(rho_b) + S(rho_c) - E(rho_bc) in the canonical ordering."""
-    return _report_pure(_pure_three(psi, "total_classical_pure")).J
+    return _report_pure(_pure_state(psi, "total_classical_pure")).J
 
 
 def total_discord_pure(psi) -> float:
     """D = S(rho_a) + E(rho_bc) in the canonical ordering."""
-    return _report_pure(_pure_three(psi, "total_discord_pure")).D
+    return _report_pure(_pure_state(psi, "total_discord_pure")).D
 
 
 def bipartite_parts_pure(psi) -> tuple:
@@ -291,13 +283,13 @@ def bipartite_parts_pure(psi) -> tuple:
     returned instead (for those states the ordered form and the definition
     disagree, and the definition wins).
     """
-    report = _report_pure(_pure_three(psi, "bipartite_parts_pure"))
+    report = _report_pure(_pure_state(psi, "bipartite_parts_pure"))
     return report.J2, report.D2
 
 
 def _last_party_entropy(psi, what):
     """S(rho_c), with c the last party of canonical_ordering."""
-    rho = density_of(_pure_three(psi, what))
+    rho = density_of(_pure_state(psi, what))
     s1, _, pair_i = _entropies_and_pairs(rho)
     return s1[_ordering(rho.parties, pair_i).permutation[2]]
 
@@ -314,7 +306,7 @@ def genuine_discord(psi) -> float:
 
 def three_tangle(psi) -> float:
     """Residual tangle tau = C_a^2 - C_ab^2 - C_ac^2 of a pure state."""
-    psi = _pure_three(psi, "three_tangle")
+    psi = _pure_state(psi, "three_tangle")
     rho = density_of(psi)
     first = psi.labels[0]
     c_one = one_to_rest_concurrence(partial_trace(rho, [first]))
@@ -518,10 +510,7 @@ def find_discord_crossover(rows):
 def _measured_tensor(rho, k, what):
     """Pauli tensor of rho with axes (measured i, measured j, kept k)."""
     rho = _as_three_party(rho, what)
-    k = str(k)
-    if k not in rho.parties:
-        raise ValidationError(f"unknown party {k!r}; have {rho.parties!r}")
-    slot_k = rho.parties.index(k)
+    slot_k = _party_slot(rho, k)
     return _pauli_tensor(rho.matrix, [x for x in range(3) if x != slot_k] + [slot_k])
 
 
@@ -681,21 +670,9 @@ def _total_classical_mixed(rho, s1, pair_rho):
     return best
 
 
-def _pure_n(psi, what):
-    if isinstance(psi, DensityMatrix):
-        psi = to_pure(psi)
-    if not isinstance(psi, PureState):
-        raise ValidationError(f"{what} expects a PureState or DensityMatrix")
-    if not 3 <= psi.n_qubits <= 6:
-        raise UnsupportedInputError(
-            f"{what} supports 3 to 6 parties, got {psi.n_qubits}"
-        )
-    return psi
-
-
 def genuine_total_n(psi) -> float:
     """Smallest bipartite mutual information over all 2^(n-1)-1 cuts."""
-    psi = _pure_n(psi, "genuine_total_n")
+    psi = _pure_state(psi, "genuine_total_n", (3, 6))
     rho = density_of(psi)
     s_rho = von_neumann_entropy(rho)
     best = min(von_neumann_entropy(partial_trace(rho, part))

@@ -407,6 +407,12 @@ class TestToPure:
         with pytest.raises(UnsupportedInputError):
             to_pure(werner(0.8))
 
+    def test_mixed_message_prints_a_plain_float(self):
+        # numpy 2 scalars repr as np.float64(...)
+        with pytest.raises(UnsupportedInputError,
+                           match=r"state is mixed \(largest eigenvalue 0\.\d+\)$"):
+            to_pure(werner(0.8))
+
 
 class TestMatrixSerialization:
     def test_round_trip(self):

@@ -290,10 +290,10 @@ class TestStateSerialization:
 
     def test_file_labels_must_be_a_list(self):
         # strings and objects are iterable, and read as characters or keys
-        # they would pass for a list
+        # they would pass for a list; null would pass for the default labels
         amps = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
         rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
-        for labels in ("ab", {"a": 0, "b": 1}):
+        for labels in ("ab", {"a": 0, "b": 1}, None):
             blob = json.dumps({"n": 2, "labels": labels, "amplitudes": amps})
             with pytest.raises(ValidationError, match="party labels .* are not a list"):
                 parse_state_json(blob)
