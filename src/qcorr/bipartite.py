@@ -10,7 +10,6 @@ pure three-qubit states are provided for cross-checking the optimizer.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from collections import namedtuple
@@ -502,25 +501,6 @@ def _kw_forms(s, e_ik, i, j, k):
     e_ik is the entanglement of formation of parties i and k, and j is measured.
     """
     return s[i] - e_ik, s[j] - s[k] + e_ik
-
-
-def _kw_table(rho, pair_rho):
-    """{(i, j): (koashi_winter_classical, koashi_winter_discord)} for every ordered pair.
-
-    rho is the density matrix of a pure three-qubit state and pair_rho maps
-    frozenset((i, k)) to partial_trace(rho, [i, k]); the one-qubit entropies
-    and the three pair EoFs are computed once for all six pairs.
-    """
-    labels = rho.parties
-    s = {x: von_neumann_entropy(partial_trace(rho, [x])) for x in labels}
-    eof = {pair: eof_from_concurrence(concurrence(red)) for pair, red in pair_rho.items()}
-    table = {}
-    for i, j in itertools.permutations(labels, 2):
-        (k,) = [x for x in labels if x not in (i, j)]
-        j_cl, d = _kw_forms(s, eof[frozenset((i, k))], i, j, k)
-        table[(i, j)] = (_floor_zero(j_cl, "closed-form classical correlation"),
-                         _floor_zero(d, "closed-form discord"))
-    return table
 
 
 def koashi_winter_classical(psi, i, j) -> float:

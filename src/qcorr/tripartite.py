@@ -199,6 +199,25 @@ def _pair_lookup(table, i, j):
     return table[(i, j)] if (i, j) in table else table[(j, i)]
 
 
+def _pair_eofs(pair_rho):
+    """{pair: entanglement of formation} of each pair reduction in pair_rho."""
+    return {pair: eof_from_concurrence(concurrence(red)) for pair, red in pair_rho.items()}
+
+
+def _kw_table(s1, eof):
+    """{(i, j): floored (J_{i:j}, D_{i:j})} for the six ordered pairs of a pure state.
+
+    The Koashi-Winter closed forms with j measured, from the one-qubit
+    entropies s1 and the pair EoFs eof of a pure three-qubit state.
+    """
+    table = {}
+    for i, j, k in itertools.permutations(s1):
+        j_cl, d = _kw_forms(s1, _pair_lookup(eof, i, k), i, j, k)
+        table[(i, j)] = (_floor_zero(j_cl, "closed-form classical correlation"),
+                         _floor_zero(d, "closed-form discord"))
+    return table
+
+
 def total_information(rho) -> float:
     """T = S(rho_a) + S(rho_b) + S(rho_c) - S(rho)."""
     rho = _as_three_party(rho, "total_information")
@@ -396,19 +415,17 @@ def _report_pure(psi):
     branch_cut = _cut_mutual(order.permutation, s1, pair_rho, s_rho)
     tangle = three_tangle(psi)
 
-    eof = {pair: eof_from_concurrence(concurrence(red)) for pair, red in pair_rho.items()}
+    eof = _pair_eofs(pair_rho)
+    kw = _kw_table(s1, eof)
     a, b, c = order.permutation
     e_bc = _pair_lookup(eof, b, c)
-    if min(branch_cut) > CUT_PRODUCT_TOL:
-        d2 = s1[a] - s1[c] + e_bc
-    else:
+    j2, d2 = kw[(b, a)]
+    if min(branch_cut) <= CUT_PRODUCT_TOL:
         # the definition: the least directional discord D_{i:j}, j measured
-        d2 = min(_kw_forms(s1, _pair_lookup(eof, i, k), i, j, k)[1]
-                 for i, j, k in itertools.permutations(psi.labels))
+        d2 = min(d for _, d in kw.values())
     cut = _cut_mutual(order.permutation, s1, pair_rho, s_rho)
     return _assemble_report(sum(s1.values()) - s_rho, s1[b] + s1[c] - e_bc,
-                            s1[a] + e_bc, _floor_zero(s1[b] - e_bc, "J2"), d2,
-                            order, cut, tangle)
+                            s1[a] + e_bc, j2, d2, order, cut, tangle)
 
 
 def _report_mixed(rho):
@@ -692,4 +709,4 @@ def _bipartitions(labels):
 
 def genuine_qc_n(psi) -> float:
     """Genuine n-party classical correlations = genuine discord = T_n / 2."""
-    return genuine_total_n(psi) / 2.0
+    return genuine_total_n(_pure_state(psi, "genuine_qc_n", (3, 6))) / 2.0

@@ -32,19 +32,19 @@ from .qstate import (
     von_neumann_entropy,
 )
 from .bipartite import (
-    _kw_table,
     classical_correlation_directional,
     concurrence,
     eof_from_concurrence,
     koashi_winter_classical,
     koashi_winter_discord,
-    mutual_information,
     one_to_rest_concurrence,
 )
 from .tripartite import (
     REPORT_FIELDS,
     _bipartitions,
     _entropies_and_pairs,
+    _kw_table,
+    _pair_eofs,
     _pair_lookup,
     correlation_report,
     genuine_total,
@@ -381,18 +381,16 @@ def oracle_crosscheck(n_samples: int, seed: int, states=None) -> ViolationReport
     closed forms; a gap above 1e-3 counts as a violation.
     """
     def margins_of(psi, _):
-        rho = density_of(psi)
-        pair_rho = {frozenset(pair): partial_trace(rho, pair)
-                    for pair in itertools.combinations(psi.labels, 2)}
-        closed = _kw_table(rho, pair_rho)
+        s1, pair_rho, pair_i = _entropies_and_pairs(density_of(psi))
+        closed = _kw_table(s1, _pair_eofs(pair_rho))
         worst_j = 0.0
         worst_d = 0.0
         worst_beat = -math.inf
         for i, j in itertools.permutations(psi.labels, 2):
-            red = pair_rho[frozenset((i, j))]
+            red = _pair_lookup(pair_rho, i, j)
             direct = classical_correlation_directional(red, j)
             j_closed, d_closed = closed[(i, j)]
-            d_opt = mutual_information(red) - direct.value
+            d_opt = _pair_lookup(pair_i, i, j) - direct.value
             worst_j = max(worst_j, abs(direct.value - j_closed))
             worst_d = max(worst_d, abs(d_opt - d_closed))
             # projective measurements are a POVM subset, so the optimizer

@@ -6,12 +6,16 @@ import pytest
 
 from qcorr import verify
 from qcorr import (
+    AcinForm,
     N_PARTY_CHECKS,
     PropertyCheck,
     PureState,
     THREE_QUBIT_CHECKS,
     ValidationError,
     ViolationReport,
+    acin_state,
+    density_of,
+    discord_directional,
     evaluate_sample,
     explore_pairwise_order_n,
     ghz_state,
@@ -19,12 +23,19 @@ from qcorr import (
     koashi_winter_classical,
     koashi_winter_discord,
     oracle_crosscheck,
+    partial_trace,
     run_suite,
     sub_seed,
     w_state,
 )
 
 THREE_QUBIT_NAMES = [name for name, _ in THREE_QUBIT_CHECKS]
+
+# a four-term Acin form on which the pairwise-discord dominance statement
+# fails (README "Known property failure"): D_bc exceeds D_ab by 5.2e-3 in the
+# canonical ordering (a, b, c), whose mutual informations lie 3e-2 apart
+DOMINANCE_COUNTEREXAMPLE = AcinForm(0.72, 0.0, 0.15, 0.18,
+                                    math.sqrt(1.0 - 0.72**2 - 0.15**2 - 0.18**2))
 
 # oracle_crosscheck(20, 0).to_dict() and the largest margin each check saw,
 # recorded before the oracle gathered its closed forms once per sample
@@ -108,6 +119,25 @@ class TestEvaluateSample:
         assert out["margins"]["genuine_total_equality"] < 1e-9
         assert out["margins"]["decomposition_identities"] < 1e-9
         assert out["margins"]["local_unitary_invariance"] < 1e-8
+
+    def test_dominance_counterexample(self):
+        # only the dominance check fails, far above its 1e-8 tolerance, away
+        # from any ordering tie, and the optimizer's discords agree with it
+        psi = acin_state(DOMINANCE_COUNTEREXAMPLE)
+        out = evaluate_sample(psi, 0)
+        order = out["report"].ordering
+        i_ab, i_ac, i_bc = order.sorted_mutual_infos
+        assert order.permutation == ("a", "b", "c")
+        assert min(i_ab - i_ac, i_ac - i_bc) > 3e-2
+        tolerances = dict(THREE_QUBIT_CHECKS)
+        for name, margin in out["margins"].items():
+            assert (margin > tolerances[name]) == (name == "discord_dominance"), name
+        margin = out["margins"]["discord_dominance"]
+        assert abs(margin - 5.18e-3) < 1e-5
+        rho = density_of(psi)
+        d_ab, d_ac, d_bc = (discord_directional(partial_trace(rho, pair), pair[0]).value
+                            for pair in (["a", "b"], ["a", "c"], ["b", "c"]))
+        assert abs(max(d_ac, d_bc) - d_ab - margin) < 1e-6
 
     def test_local_unitary_seed_is_deterministic(self):
         psi = haar_random_pure(3, 82)
@@ -236,8 +266,8 @@ class TestOracleCrosscheck:
         tables = []
         kw_table = verify._kw_table
 
-        def recording_table(rho, pair_rho):
-            tables.append(kw_table(rho, pair_rho))
+        def recording_table(s1, eof):
+            tables.append(kw_table(s1, eof))
             return tables[-1]
 
         monkeypatch.setattr(verify, "_kw_table", recording_table)
