@@ -9,6 +9,7 @@ pure three-qubit states are provided for cross-checking the optimizer.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -180,12 +181,19 @@ def _outcome_entropies(w, weight):
 
 
 def _outcome_entropy(w0, w1, w2, w3, weight):
-    """One outcome of _outcome_entropies, in plain floats."""
+    """One outcome of _outcome_entropies, in plain floats.
+
+    The expressions of p * binary_entropy(min(lam, 1.0)), written out; a nan
+    lam still raises through _clamp_unit.
+    """
     p = weight * w0
     if not p > 1e-12:
         return 0.0
     lam = (1.0 + math.sqrt(w1 * w1 + w2 * w2 + w3 * w3) / w0) * 0.5
-    return p * binary_entropy(min(lam, 1.0))
+    if lam < 1.0:  # and lam >= 1/2, since w0 > 0
+        return p * (-lam * math.log2(lam) - (1.0 - lam) * math.log2(1.0 - lam))
+    _clamp_unit(min(lam, 1.0), "binary entropy argument")
+    return 0.0
 
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
@@ -314,6 +322,23 @@ def _argsort(fsim):
     return order
 
 
+def _place_last(sim, fsim):
+    """Move the last vertex into the sorted rest when that leaves fsim strictly increasing.
+
+    Returns False, with nothing moved, otherwise: on a tie or NaN, or when
+    the rest was not strictly increasing. A strictly increasing fsim is the
+    one ascending order, which _argsort would also find.
+    """
+    f = fsim.pop()
+    k = bisect.bisect_left(fsim, f)
+    fsim.insert(k, f)
+    if all(map(operator.lt, fsim, fsim[1:])):
+        sim.insert(k, sim.pop())
+        return True
+    fsim.append(fsim.pop(k))
+    return False
+
+
 def _simplex(fun, x0, *, maxiter, xatol, fatol, **_scipy_fixed):
     """scipy 1.17's Nelder-Mead (non-adaptive, maxfev unset) on plain floats, bit for bit.
 
@@ -336,8 +361,8 @@ def _simplex(fun, x0, *, maxiter, xatol, fatol, **_scipy_fixed):
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     while nit < maxiter:
         best, worst = sim[0], sim[-1]
-        if (all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, best))
-                and all(abs(fsim[0] - y) <= fatol for y in fsim[1:])):
+        if (all(abs(fsim[0] - y) <= fatol for y in fsim[1:])
+                and all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, best))):
             break
         xbar = [functools.reduce(operator.add, c) / n for c in zip(*sim[:-1])]
         xr = [(1 + rho) * a - rho * b for a, b in zip(xbar, worst)]
@@ -364,8 +389,12 @@ def _simplex(fun, x0, *, maxiter, xatol, fatol, **_scipy_fixed):
                     sim[j] = [a + sigma * (b - a) for a, b in zip(best, sim[j])]
                     fsim[j] = f(sim[j])
         nit += 1
-        order = _argsort(fsim)
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        # _place_last checks the whole list, so after a shrink, which moves
+        # every vertex but the best, it keeps only an order that is already
+        # the ascending one
+        if not _place_last(sim, fsim):
+            order = _argsort(fsim)
+            sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     return _Simplex(sim[0], fsim[0], nit, nfev, nit < maxiter)
 
 

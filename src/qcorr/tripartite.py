@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +54,8 @@ from .bipartite import (
 CUT_PRODUCT_TOL = 1e-6
 DOUBLE_GRID_DEFAULT = 30
 # u points per block of the two-angle grid fill: 16 of the default 421 give
-# 0.65 MB of buffers in float32 (1.3 MB in float64), reused from block to
-# block; 8, 32 and 64 filled the grid in the same time to within 10%
+# 0.43 MB of buffers for the float32 screen (1.3 MB for a float64 pass over
+# every row), reused from block to block
 _BLOCK_ROWS = 16
 # the float32 screen of the two-angle grid drops a u row only when its least
 # value exceeds the screen's least value by more than this; see
@@ -557,29 +557,40 @@ def _two_angle_objective(r):
     return entropy
 
 
-def _two_angle_values(r, rows, points=None, dtype=np.float64, block=_BLOCK_ROWS):
+def _u_sides(r, rows):
+    """(lambda, u row, nu) = (1, +-u).R for every outcome row, in float64."""
+    return (rows @ r.reshape(4, 16)).reshape(len(rows), 4, 4).transpose(2, 0, 1)
+
+
+def _sum_outcomes(w, out):
+    """out[u, v] = the entropies of planes w[lambda, u row, b, v], four outcomes summed."""
+    h = _outcome_entropies(w, 0.25).reshape(-1, 4, out.shape[1])
+    np.add(h[:, 0], h[:, 1], out=out)
+    out += h[:, 2]
+    out += h[:, 3]
+
+
+def _two_angle_values(r, rows, points=None, block=_BLOCK_ROWS):
     """_two_angle_objective at pairs of the outcome rows' points, vectorized.
 
     Returns the grid rows of the u points in points (all n when None), each
-    against every v point, in dtype: u on the first axis. The matrix product
-    (1, +-u).R runs in float64 over every u row before points selects some,
-    and the v side is contracted elementwise, not by a matrix product, whose
-    rounding at the edges of BLAS tiles would depend on the shape; so no
-    value depends on points or block. u points are filled block at a time,
-    into buffers reused from block to block, to bound the memory of one pass.
+    against every v point: u on the first axis. The matrix product
+    (1, +-u).R runs over every u row before points selects some, and the v
+    side is contracted elementwise, not by a matrix product, whose rounding
+    at the edges of BLAS tiles would depend on the shape; so no value
+    depends on points or block. u points are filled block at a time, into
+    buffers reused from block to block, to bound the memory of one pass.
     """
     n = len(rows) // 2
-    v = rows[0::2, 1:].astype(dtype)
-    # (lambda, u row, nu): (1, +-u).R for every u row
-    ur = (rows @ r.reshape(4, 16)).reshape(2 * n, 4, 4).transpose(2, 0, 1)
+    v = rows[0::2, 1:]
+    ur = _u_sides(r, rows)
     if points is not None:
         ur = ur[:, np.add.outer(2 * np.asarray(points), (0, 1)).ravel()]
-    ur = ur.astype(dtype)
-    values = np.empty((ur.shape[1] // 2, n), dtype)
+    values = np.empty((ur.shape[1] // 2, n))
     size = 2 * min(block, len(values))
-    e_buf = np.empty((4, size, n), dtype)
+    e_buf = np.empty((4, size, n))
     # w[lambda, u row, b, v] for the outcomes b = +1, -1 of v
-    w_buf = np.empty((4, size, 2, n), dtype)
+    w_buf = np.empty((4, size, 2, n))
     for lo in range(0, len(values), block):
         m = ur[:, 2 * lo:2 * (lo + block), :, None]
         e, w = e_buf[:, :m.shape[1]], w_buf[:, :m.shape[1]]
@@ -589,11 +600,29 @@ def _two_angle_values(r, rows, points=None, dtype=np.float64, block=_BLOCK_ROWS)
         e += np.multiply(m[:, :, 3], v[:, 2], out=scratch)
         np.add(c, e, out=w[:, :, 0])
         np.subtract(c, e, out=w[:, :, 1])
-        h = _outcome_entropies(w, 0.25).reshape(-1, 4, n)
-        out = values[lo:lo + len(h)]
-        np.add(h[:, 0], h[:, 1], out=out)
-        out += h[:, 2]
-        out += h[:, 3]
+        _sum_outcomes(w, values[lo:lo + block])
+    return values
+
+
+def _two_angle_screen(r, rows):
+    """_two_angle_values at every pair of points, in float32, for _screen_rows.
+
+    Each block of u rows gets its planes from one float32 matrix product of
+    its (1, +-u).R rows with the v outcome rows, (1, v) for every v point
+    and then (1, -v), written into a buffer reused from block to block.
+    BLAS rounds that product differently from the float64 pass's
+    elementwise sums; min_double_conditional_entropy bounds the error.
+    """
+    n = len(rows) // 2
+    vt = np.concatenate([rows[0::2], rows[1::2]]).T.astype(np.float32)
+    ur = np.ascontiguousarray(_u_sides(r, rows), dtype=np.float32)
+    values = np.empty((n, n), np.float32)
+    w_buf = np.empty((4, 2 * min(_BLOCK_ROWS, n), 2 * n), np.float32)
+    for lo in range(0, n, _BLOCK_ROWS):
+        m = ur[:, 2 * lo:2 * (lo + _BLOCK_ROWS)]
+        w = w_buf[:, :m.shape[1]]
+        np.matmul(m, vt, out=w)
+        _sum_outcomes(w.reshape(4, -1, 2, n), values[lo:lo + _BLOCK_ROWS])
     return values
 
 
@@ -622,9 +651,10 @@ def _screen_rows(screen):
 
 def _screened_values(r, rows):
     """The two-angle grid, exact in the rows that _screen_rows keeps, +inf in the rest."""
-    screen = _two_angle_values(r, rows, dtype=np.float32)
-    keep = _screen_rows(screen)
-    values = np.full(screen.shape, np.inf)
+    n = len(rows) // 2
+    # the screen is freed before the float64 grid exists, to lower the peak memory
+    keep = _screen_rows(_two_angle_screen(r, rows))
+    values = np.full((n, n), np.inf)
     values[keep] = _two_angle_values(r, rows, keep)
     return values
 
@@ -638,21 +668,23 @@ def min_double_conditional_entropy(rho, k) -> float:
     minimum as in the one-party search. For pure global states every
     product measurement already yields zero.
 
-    The 421 x 421 grid is first filled in float32, and only the u rows whose
+    The 421 x 421 grid is first filled in float32 (_two_angle_screen, whose
+    planes come from a BLAS matrix product), and only the u rows whose
     float32 minimum lies within SCREEN_MARGIN of the float32 grid minimum
     are filled again in float64; the others read +inf. Each float64 row is
     byte for byte the row of the dense float64 grid, so the search sees the
     same minimum, start point and start value. Why: let E bound the
-    float32 error of every cell. A cell within TIE_TOL of the exact minimum
-    m has float32 value at most m + TIE_TOL + E, and the float32 minimum is
-    at least m - E, so its row is kept whenever SCREEN_MARGIN >= 2 E +
-    TIE_TOL. The only ill-conditioned term is (1 - lam) log2(1 - lam) as
-    lam -> 1: an error of about 1.2e-7 in lam moves it by about
-    1.2e-7 * log2(1 / 1.2e-7), some 3e-6. The largest error measured was
-    1.1e-6 over random mixed states and 2.8e-6 on near-pure and degenerate
-    mixtures, so 2 E + TIE_TOL stays over 15 times below SCREEN_MARGIN. A
-    flat landscape, such as that of I/8, keeps every row and pays for the
-    float32 pass on top of the float64 one.
+    float32 error of every cell, whatever order the product sums its four
+    terms in. A cell within TIE_TOL of the exact minimum m has float32
+    value at most m + TIE_TOL + E, and the float32 minimum is at least
+    m - E, so its row is kept whenever SCREEN_MARGIN >= 2 E + TIE_TOL. The
+    only ill-conditioned term is (1 - lam) log2(1 - lam) as lam -> 1: an
+    error of about 1.2e-7 in lam moves it by about 1.2e-7 * log2(1 / 1.2e-7),
+    some 3e-6. The largest error measured was 1.3e-6 over random mixed
+    states and 2.8e-6 on near-pure and degenerate mixtures, so 2 E + TIE_TOL
+    stays over 15 times below SCREEN_MARGIN. A flat landscape, such as that
+    of I/8, keeps every row and pays for the float32 pass on top of the
+    float64 one.
     """
     r = _measured_tensor(rho, k, "min_double_conditional_entropy")
     th, ph, rows = _hemisphere(DOUBLE_GRID_DEFAULT, DOUBLE_GRID_DEFAULT)

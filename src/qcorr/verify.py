@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .qstate import (
-    DensityMatrix,
     PureState,
     _nonnegative_seed,
     density_of,

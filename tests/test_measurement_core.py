@@ -11,11 +11,14 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcorr import (
     DensityMatrix,
     MeasurementBasis,
+    ValidationError,
+    binary_entropy,
     conditional_entropy_measured,
     double_conditional_entropy,
     partial_trace,
@@ -91,3 +94,23 @@ def test_scalar_and_grid_evaluators_agree_on_the_hemisphere():
         scalar = bipartite._one_angle_objective(r2)
         worst = max(abs(scalar((th[i], ph[i])) - grid[i]) for i in range(n))
         assert worst < 1e-14, (seed, worst)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(w=st.tuples(*[st.one_of(st.sampled_from([0.0, 1e-13, 0.5, 1.0]),
+                               st.floats(-2.0, 2.0))] * 4),
+       weight=st.sampled_from([0.5, 0.25]))
+def test_scalar_outcome_entropy_is_the_binary_entropy_expression(w, weight):
+    # the inlined scalar evaluator against binary_entropy, bit for bit
+    w0, w1, w2, w3 = w
+    p = weight * w0
+    want = 0.0
+    if p > 1e-12:
+        lam = (1.0 + math.sqrt(w1 * w1 + w2 * w2 + w3 * w3) / w0) * 0.5
+        want = p * binary_entropy(min(lam, 1.0))
+    assert repr(bipartite._outcome_entropy(w0, w1, w2, w3, weight)) == repr(want)
+
+
+def test_scalar_outcome_entropy_rejects_nan():
+    with pytest.raises(ValidationError, match="binary entropy argument nan"):
+        bipartite._outcome_entropy(1.0, math.nan, 0.0, 0.0, 0.5)

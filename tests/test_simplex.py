@@ -15,8 +15,8 @@ import scipy
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from qcorr import DensityMatrix, partial_trace, random_mixed_state
-from qcorr import bipartite, tripartite
+from qcorr import DensityMatrix, correlation_report, partial_trace, random_mixed_state
+from qcorr import bipartite, tripartite, verify
 
 OPTIONS = {"maxiter": bipartite.REFINE_ITERS_DEFAULT,
            "xatol": bipartite.REFINE_TOL_DEFAULT,
@@ -66,21 +66,79 @@ def test_two_angle_runs_equal_scipy(seed, kept, u, v):
     assert_same_as_scipy(two_angle(random_mixed_state(3, seed), kept), u + v)
 
 
-def test_run_stopped_at_maxiter_equals_scipy(monkeypatch):
-    # the two-angle search that keeps party b of input 100 runs out of
-    # iterations; its start is the grid point the report's search picks
-    runs = []
+@pytest.fixture
+def runs(monkeypatch):
+    """(objective, x0, result) of every bipartite._nelder_mead run in the test."""
+    recorded = []
     real = bipartite._nelder_mead
 
-    def recorded(fun, x0):
-        runs.append((fun, x0))
-        return real(fun, x0)
+    def record(fun, x0):
+        res = real(fun, x0)
+        recorded.append((fun, tuple(x0), res))
+        return res
 
-    monkeypatch.setattr(bipartite, "_nelder_mead", recorded)
+    monkeypatch.setattr(bipartite, "_nelder_mead", record)
+    return recorded
+
+
+def test_run_stopped_at_maxiter_equals_scipy(runs):
+    # the two-angle search that keeps party b of input 100 runs out of
+    # iterations; its start is the grid point the report's search picks
     tripartite.min_double_conditional_entropy(random_mixed_state(3, 100), "b")
-    (fun, x0), = runs
+    (fun, x0, _), = runs
     _, _, nit, _, success = assert_same_as_scipy(fun, x0)
     assert (nit, success) == (200, False)
+
+
+def test_mixed_report_search_counts(runs):
+    # the counts the benchmark pins on its mixed_report warm-up input:
+    # 21 runs, 9 of them distinct by (x0, fun, nfev), one two-angle run at
+    # maxiter
+    correlation_report(random_mixed_state(3, 100))
+    distinct = {(x0, float(res.fun), int(res.nfev)) for _, x0, res in runs}
+    at_maxiter = [res for _, x0, res in runs
+                  if len(x0) == 4 and res.nit >= bipartite.REFINE_ITERS_DEFAULT]
+    assert (len(runs), len(distinct), len(at_maxiter)) == (21, 9, 1)
+
+
+def test_oracle_search_counts(runs):
+    # the counts the benchmark pins on its oracle_pure warm-up input
+    verify.oracle_crosscheck(1, 256)
+    assert (len(runs), sum(bool(res.success) for _, _, res in runs)) == (6, 6)
+
+
+@pytest.mark.parametrize("bad", [NAN, math.inf])
+@pytest.mark.parametrize("kind", ["one-angle", "two-angle"])
+def test_runs_into_nan_or_inf_regions_equal_scipy(monkeypatch, bad, kind):
+    # the objective reads bad beyond a plane near the start, so reflections
+    # land on it; each new vertex is either placed in the sorted rest or,
+    # on a tie or NaN, the whole list is reordered by _argsort, and both
+    # must happen
+    placed = []
+    place = bipartite._place_last
+
+    def recorded(sim, fsim):
+        placed.append(place(sim, fsim))
+        return placed[-1]
+
+    monkeypatch.setattr(bipartite, "_place_last", recorded)
+    hits = 0
+    for seed in range(6):
+        if kind == "one-angle":
+            f, x0 = one_angle(random_mixed_state(2, seed), "a"), (1.0, 2.0)
+        else:
+            f, x0 = two_angle(random_mixed_state(3, seed), "a"), (1.0, 2.0, 0.5, 3.0)
+        normal = np.random.default_rng(seed).normal(size=len(x0))
+
+        def masked(x):
+            nonlocal hits
+            if float(np.dot(np.subtract(x, x0), normal)) > 0.05:
+                hits += 1
+                return bad
+            return f(x)
+
+        assert_same_as_scipy(masked, x0)
+    assert hits > 0 and True in placed and False in placed
 
 
 @pytest.mark.parametrize("x0", [(0.0, 0.0), (math.pi / 2, math.pi), (1.0, 2.0)])

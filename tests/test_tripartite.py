@@ -718,7 +718,7 @@ class TestGridScreen:
     def grids(self, rho, kept):
         r = tripartite._measured_tensor(rho, kept, "test")
         dense = tripartite._two_angle_values(r, self.ROWS)
-        screen = tripartite._two_angle_values(r, self.ROWS, dtype=np.float32)
+        screen = tripartite._two_angle_screen(r, self.ROWS)
         return r, dense, screen
 
     def check_screen(self, rho, kept):
@@ -773,33 +773,37 @@ class TestGridScreen:
     @pytest.mark.parametrize("dtype, points", [(np.float32, None), (np.float64, [3, 200])])
     def test_each_pass_computes_in_its_own_dtype(self, monkeypatch, dtype, points):
         # the screen must stay float32 throughout, or it is no faster; every
-        # buffer the fill allocates checks the operands of each ufunc on it
+        # buffer the fill allocates, the screen's matmul output included,
+        # checks the operands of each ufunc on it
         class GuardedNumpy:
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            def empty(self, shape, dtype):
+            def empty(self, shape, dtype=float):
                 return np.empty(shape, dtype).view(_DtypeGuard)
 
         monkeypatch.setattr(tripartite, "np", GuardedNumpy())
         monkeypatch.setattr(_DtypeGuard, "expected", np.dtype(dtype))
         monkeypatch.setattr(_DtypeGuard, "checked", 0)
         r = tripartite._measured_tensor(random_mixed_state(3, 5), "a", "test")
-        got = tripartite._two_angle_values(r, self.ROWS, points, dtype)
+        if dtype == np.float32:
+            got = tripartite._two_angle_screen(r, self.ROWS)
+        else:
+            got = tripartite._two_angle_values(r, self.ROWS, points)
         assert got.dtype == dtype and _DtypeGuard.checked > 20
 
     def test_screen_is_float32_and_exact_pass_float64(self, monkeypatch):
         calls = []
-        fill = tripartite._two_angle_values
+        for name in ("_two_angle_screen", "_two_angle_values"):
+            def recorded(*args, fill=getattr(tripartite, name), name=name):
+                values = fill(*args)
+                calls.append((name, values.dtype))
+                return values
 
-        def recorded(r, rows, points=None, dtype=np.float64):
-            values = fill(r, rows, points, dtype)
-            calls.append((points is None, values.dtype))
-            return values
-
-        monkeypatch.setattr(tripartite, "_two_angle_values", recorded)
+            monkeypatch.setattr(tripartite, name, recorded)
         min_double_conditional_entropy(random_mixed_state(3, 5), "a")
-        assert calls == [(True, np.float32), (False, np.float64)]
+        assert calls == [("_two_angle_screen", np.float32),
+                         ("_two_angle_values", np.float64)]
 
 
 class TestSweepAndCrossover:
