@@ -281,29 +281,9 @@ def _cut_mutual(abc, s1, pair_rho, s_rho):
                  for x, y, z in ((a, b, c), (a, c, b), (b, c, a)))
 
 
-def total_classical_pure(psi) -> float:
-    """J = S(rho_b) + S(rho_c) - E(rho_bc) in the canonical ordering."""
-    return _report_pure(_pure_state(psi, "total_classical_pure")).J
-
-
 def total_discord_pure(psi) -> float:
     """D = S(rho_a) + E(rho_bc) in the canonical ordering."""
     return _report_pure(_pure_state(psi, "total_discord_pure")).D
-
-
-def bipartite_parts_pure(psi) -> tuple:
-    """(J2, D2): the bipartite shares of the total correlations.
-
-    J2 is the largest symmetrized pairwise classical correlation, which the
-    closed form S(rho_b) - E(rho_bc) realizes exactly. D2 uses the ordered
-    closed form S(rho_a) - S(rho_c) + E(rho_bc) whenever every cut mutual
-    information exceeds 1e-6; on states that are product across some cut the
-    definitional minimum over the three symmetrized pairwise discords is
-    returned instead (for those states the ordered form and the definition
-    disagree, and the definition wins).
-    """
-    report = _report_pure(_pure_state(psi, "bipartite_parts_pure"))
-    return report.J2, report.D2
 
 
 def _last_party_entropy(psi, what):
@@ -570,7 +550,7 @@ def _sum_outcomes(w, out):
     out += h[:, 3]
 
 
-def _two_angle_values(r, rows, points=None, block=_BLOCK_ROWS):
+def _two_angle_values(r, rows, points=None):
     """_two_angle_objective at pairs of the outcome rows' points, vectorized.
 
     Returns the grid rows of the u points in points (all n when None), each
@@ -578,8 +558,9 @@ def _two_angle_values(r, rows, points=None, block=_BLOCK_ROWS):
     (1, +-u).R runs over every u row before points selects some, and the v
     side is contracted elementwise, not by a matrix product, whose rounding
     at the edges of BLAS tiles would depend on the shape; so no value
-    depends on points or block. u points are filled block at a time, into
-    buffers reused from block to block, to bound the memory of one pass.
+    depends on points or on a row's place in its block. u points are filled
+    _BLOCK_ROWS at a time, into buffers reused from block to block, to bound
+    the memory of one pass.
     """
     n = len(rows) // 2
     v = rows[0::2, 1:]
@@ -587,12 +568,12 @@ def _two_angle_values(r, rows, points=None, block=_BLOCK_ROWS):
     if points is not None:
         ur = ur[:, np.add.outer(2 * np.asarray(points), (0, 1)).ravel()]
     values = np.empty((ur.shape[1] // 2, n))
-    size = 2 * min(block, len(values))
+    size = 2 * min(_BLOCK_ROWS, len(values))
     e_buf = np.empty((4, size, n))
     # w[lambda, u row, b, v] for the outcomes b = +1, -1 of v
     w_buf = np.empty((4, size, 2, n))
-    for lo in range(0, len(values), block):
-        m = ur[:, 2 * lo:2 * (lo + block), :, None]
+    for lo in range(0, len(values), _BLOCK_ROWS):
+        m = ur[:, 2 * lo:2 * (lo + _BLOCK_ROWS), :, None]
         e, w = e_buf[:, :m.shape[1]], w_buf[:, :m.shape[1]]
         c, scratch = m[:, :, 0], w[:, :, 0]
         np.multiply(m[:, :, 1], v[:, 0], out=e)
@@ -600,7 +581,7 @@ def _two_angle_values(r, rows, points=None, block=_BLOCK_ROWS):
         e += np.multiply(m[:, :, 3], v[:, 2], out=scratch)
         np.add(c, e, out=w[:, :, 0])
         np.subtract(c, e, out=w[:, :, 1])
-        _sum_outcomes(w, values[lo:lo + block])
+        _sum_outcomes(w, values[lo:lo + _BLOCK_ROWS])
     return values
 
 

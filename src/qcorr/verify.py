@@ -401,42 +401,3 @@ def oracle_crosscheck(n_samples: int, seed: int, states=None) -> ViolationReport
     return _run_samples(ORACLE_CHECKS, margins_of, _sample_count(n_samples),
                         seed, 3, states)
 
-
-def explore_pairwise_order_n(n_samples: int, seed: int,
-                             n_qubits: int = 4) -> dict:
-    """Exploratory, non-asserting scan of the n>3 ordering conjecture.
-
-    For each sample, records whether sorting parties by one-qubit entropy
-    also sorts every pairwise mutual information the way it does for three
-    qubits. Returns counts only; nothing here is a violation.
-    """
-    n_samples = _sample_count(n_samples)
-    n_qubits = int(n_qubits)
-    if not 4 <= n_qubits <= 6:
-        raise ValidationError(f"n_qubits {n_qubits!r} outside 4..6")
-    consistent = 0
-    records = []
-    for index in range(n_samples):
-        s_i = sub_seed(seed, index)
-        psi = haar_random_pure(n_qubits, s_i)
-        s, _, pair_i = _entropies_and_pairs(density_of(psi))
-        by_entropy = sorted(psi.labels, key=lambda x: -s[x])
-        ok = True
-        # entropy-sorted parties should sort shared pairs: for x above y
-        # (z any third), demand I(x,z) >= I(y,z)
-        for x, y in itertools.combinations(by_entropy, 2):
-            for z in psi.labels:
-                if z in (x, y):
-                    continue
-                if (_pair_lookup(pair_i, x, z)
-                        < _pair_lookup(pair_i, y, z) - 1e-10):
-                    ok = False
-        consistent += ok
-        records.append({"sub_seed": s_i, "consistent": bool(ok)})
-    return {
-        "n_samples": n_samples,
-        "seed": int(seed),
-        "n_qubits": n_qubits,
-        "consistent": consistent,
-        "records": records,
-    }

@@ -17,7 +17,6 @@ from qcorr import (
     ValidationError,
     acin_state,
     binary_entropy,
-    bipartite_parts_pure,
     canonical_ordering,
     correlation_report,
     density_of,
@@ -40,7 +39,6 @@ from qcorr import (
     sweep_families,
     three_tangle,
     total_classical_mixed,
-    total_classical_pure,
     total_discord_pure,
     total_information,
     w_state,
@@ -78,11 +76,10 @@ MIXED_REPORT_100_REPR = (
     "0.13100408215327253]}, 'pure': False, 'method': 'optimizer'}"
 )
 
-# repr of correlation_report(psi).to_dict() and of the pure accessors
-# (total_classical_pure, total_discord_pure, bipartite_parts_pure,
-# genuine_classical, genuine_discord) on haar_random_pure(3, seed) and
-# on bell_with_spectator(), whose product cut takes the degenerate D2
-# branch; compared with ==.
+# repr of correlation_report(psi).to_dict() and of the parts tuple
+# (J, total_discord_pure, (J2, D2), genuine_classical, genuine_discord) on
+# haar_random_pure(3, seed) and on bell_with_spectator(), whose product cut
+# takes the degenerate D2 branch; compared with ==.
 PURE_REPR = {
     3: (
         "{'T': 2.0019705968514514, 'J': 1.2815875849948608, "
@@ -395,10 +392,10 @@ class TestClosedFormReports:
         for key, (report_repr, parts_repr) in PURE_REPR.items():
             psi = (bell_with_spectator() if key == "spectator"
                    else haar_random_pure(3, key))
-            assert repr(correlation_report(psi).to_dict()) == report_repr, key
-            parts = (total_classical_pure(psi), total_discord_pure(psi),
-                     bipartite_parts_pure(psi), genuine_classical(psi),
-                     genuine_discord(psi))
+            rep = correlation_report(psi)
+            assert repr(rep.to_dict()) == report_repr, key
+            parts = (rep.J, total_discord_pure(psi), (rep.J2, rep.D2),
+                     genuine_classical(psi), genuine_discord(psi))
             assert repr(parts) == parts_repr, key
 
     def test_product_cut_switch_jumps_by_one_bit(self):
@@ -420,6 +417,32 @@ class TestClosedFormReports:
         for rep in (below, above):
             assert abs(rep.D2 + rep.D3 - rep.D) < 1e-12
 
+    def test_pure_mixed_cutoff_jumps_d2_and_d3(self):
+        # to_pure's cutoff, largest eigenvalue above 1 - 1e-8, picks the
+        # path. The closed form's D2 is the ordered D_{b:a}; the optimizer
+        # takes the least of the six directional discords. So D2 and D3 trade
+        # 0.35 bits across the cutoff, and every other field moves by the
+        # noise alone. A known property of the code, pinned here by size,
+        # not endorsed (README "Known jump at the pure/mixed cutoff").
+        psi = haar_random_pure(3, 1)
+        proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        # the largest eigenvalue is 1 - 7 eps / 8: 1 - 0.5e-8, then 1 - 2e-8
+        pure, mixed = (correlation_report(DensityMatrix(
+            (1.0 - eps) * proj + eps * np.eye(8) / 8.0))
+            for eps in (8.0 / 7.0 * 0.5e-8, 8.0 / 7.0 * 2e-8))
+        assert (pure.method, mixed.method) == ("closed-form", "optimizer")
+        assert abs(pure.D2 - 0.6042813) < 1e-7 and abs(pure.D3 - 0.5928897) < 1e-7
+        assert abs(mixed.D2 - 0.2545689) < 1e-7 and abs(mixed.D3 - 0.9426018) < 1e-7
+        least = min(koashi_winter_discord(psi, i, j)
+                    for i, j in itertools.permutations(psi.labels, 2))
+        assert abs(least - 0.2545691) < 1e-7
+        assert abs(mixed.D2 - least) < 1e-6
+        for name in ("T", "J", "D", "T2", "T3", "J2", "J3"):
+            assert abs(getattr(pure, name) - getattr(mixed, name)) < 6e-7, name
+        for field in ("pairwise_mutual", "cut_mutual"):
+            assert np.allclose(getattr(pure, field), getattr(mixed, field),
+                               rtol=0.0, atol=6e-7), field
+
     def test_printed_shares_are_exact_differences(self):
         # T3, J3 and D3 are the floored differences of the printed fields, to
         # the bit, on both input routes and on both D2 branches
@@ -436,7 +459,7 @@ class TestClosedFormReports:
                 assert rep.D3 == max(0.0, rep.D - rep.D2)
 
     def test_report_matches_individual_closed_forms(self):
-        # the accessors read the report, so J, D, J2 and D2 agree bit for bit;
+        # total_discord_pure reads the report, so D agrees bit for bit;
         # genuine_* is S(rho_c): it equals J3 and D3 up to rounding on the
         # ordered D2 branch, and D3 is a different quantity on the degenerate one
         states = [haar_random_pure(3, seed) for seed in range(20)]
@@ -445,9 +468,7 @@ class TestClosedFormReports:
         for psi in states:
             rep = correlation_report(psi)
             assert abs(rep.T - total_information(density_of(psi))) < 1e-12
-            assert rep.J == total_classical_pure(psi)
             assert rep.D == total_discord_pure(psi)
-            assert (rep.J2, rep.D2) == bipartite_parts_pure(psi)
             assert abs(rep.tangle - three_tangle(psi)) < 1e-12
             if min(rep.cut_mutual) > CUT_PRODUCT_TOL:
                 assert abs(rep.J3 - genuine_classical(psi)) < 1e-9
@@ -538,7 +559,7 @@ class TestMixedReports:
 
     def test_optimizer_matches_closed_form_on_pure_input(self):
         psi = w_state()
-        closed = total_classical_pure(psi)
+        closed = correlation_report(psi).J
         optimized = total_classical_mixed(density_of(psi))
         # projective optimum realizes the POVM closed form on these states
         assert abs(optimized - closed) < 1e-6
@@ -621,17 +642,14 @@ class TestDoubleConditional:
 
     @pytest.mark.parametrize("seed", [5, 17, 100])
     def test_grid_values_do_not_depend_on_the_block(self, seed):
-        # the block only bounds the memory of one pass; a block size that
-        # moved any value could move the Nelder-Mead start point
+        # the block only bounds the memory of one pass; a value that moved
+        # with a row's place in its block could move the Nelder-Mead start
+        # point. The screened search fills only some u rows in float64, each
+        # at another place in its block than in the dense grid; each must be
+        # the dense grid's row byte for byte
         r = tripartite._measured_tensor(random_mixed_state(3, seed), "b", "test")
         rows = tripartite._hemisphere(30, 30)[2]
-        full = tripartite._two_angle_values(r, rows, block=421)
-        want = full.tobytes()
-        for block in (1, 3, 7, 16):
-            got = tripartite._two_angle_values(r, rows, block=block).tobytes()
-            assert got == want, block
-        # the screened search fills only some u rows in float64; each must be
-        # the dense grid's row byte for byte
+        full = tripartite._two_angle_values(r, rows)
         picks = ([0], [5, 17, 420],
                  np.random.default_rng(seed).choice(421, 40, replace=False))
         for points in picks:
@@ -909,9 +927,9 @@ def _kw_discord_ab(state):
     return koashi_winter_discord(state, "a", "b")
 
 
-CLOSED_FORMS = (three_tangle, total_classical_pure, total_discord_pure,
-                bipartite_parts_pure, genuine_classical, genuine_discord,
-                genuine_total_n, genuine_qc_n, _kw_classical_ab, _kw_discord_ab)
+CLOSED_FORMS = (three_tangle, total_discord_pure, genuine_classical,
+                genuine_discord, genuine_total_n, genuine_qc_n,
+                _kw_classical_ab, _kw_discord_ab)
 
 
 class TestClosedFormDomain:

@@ -17,7 +17,6 @@ from qcorr import (
     density_of,
     discord_directional,
     evaluate_sample,
-    explore_pairwise_order_n,
     ghz_state,
     haar_random_pure,
     koashi_winter_classical,
@@ -73,8 +72,7 @@ class TestSubSeed:
 
     def test_negative_master_seed(self):
         for call in (lambda: sub_seed(-1, 0), lambda: run_suite(2, -1),
-                     lambda: run_suite(2, -1, 4), lambda: oracle_crosscheck(1, -1),
-                     lambda: explore_pairwise_order_n(2, -1)):
+                     lambda: run_suite(2, -1, 4), lambda: oracle_crosscheck(1, -1)):
             with pytest.raises(ValidationError, match="seed -1 must be nonnegative"):
                 call()
 
@@ -293,43 +291,6 @@ class TestOracleCrosscheck:
         assert not report.passes
         # the broken sample contributes nothing to the other checks
         assert by_name["oracle_classical"].count_checked == 1
-
-
-class TestExplore:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            explore_pairwise_order_n(0, 1)
-        with pytest.raises(ValidationError):
-            explore_pairwise_order_n(5, 1, n_qubits=3)
-
-    def test_shape_and_determinism(self):
-        out1 = explore_pairwise_order_n(6, 2)
-        out2 = explore_pairwise_order_n(6, 2)
-        assert out1 == out2
-        assert out1["n_samples"] == 6
-        assert len(out1["records"]) == 6
-        assert 0 <= out1["consistent"] <= 6
-        assert all(isinstance(r["consistent"], bool) for r in out1["records"])
-
-    def test_matches_recorded_values(self):
-        assert explore_pairwise_order_n(6, 2) == {
-            "n_samples": 6, "seed": 2, "n_qubits": 4, "consistent": 0,
-            "records": [{"sub_seed": s, "consistent": False} for s in (
-                10128210881749538955, 6609312287773032911,
-                15752139279244931036, 7328172287439240521,
-                1684697524250777662, 10855449103376275576)],
-        }
-        assert explore_pairwise_order_n(4, 3, n_qubits=5) == {
-            "n_samples": 4, "seed": 3, "n_qubits": 5, "consistent": 0,
-            "records": [{"sub_seed": s, "consistent": False} for s in (
-                12467808127879573787, 11425928242767342472,
-                11475712343069784169, 12505594170494392219)],
-        }
-        # the first samples of seed 0 that do sort consistently
-        out = explore_pairwise_order_n(40, 0)
-        assert out["consistent"] == 3
-        assert [i for i, r in enumerate(out["records"])
-                if r["consistent"]] == [9, 32, 38]
 
 
 class TestViolationReport:
