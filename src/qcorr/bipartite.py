@@ -342,60 +342,146 @@ def _place_last(sim, fsim):
 def _simplex(fun, x0, *, maxiter, xatol, fatol, **_scipy_fixed):
     """scipy 1.17's Nelder-Mead (non-adaptive, maxfev unset) on plain floats, bit for bit.
 
+    Builds and sorts scipy's start simplex, then runs the straight-line
+    kernel for the two sizes the searches use: two angles or four.
     _scipy_fixed takes the keywords minimize adds (jac, callback, ...).
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    n, nfev, nit = len(x0), 0, 1
-
-    def f(x):
-        nonlocal nfev
-        nfev += 1
-        return fun(x)
-
-    x0 = [float(v) for v in x0]
-    sim = [x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025] + x0[k + 1:]
+    x0 = tuple(float(v) for v in x0)
+    sim = [x0] + [x0[:k] + ((1 + 0.05) * v if v != 0 else 0.00025,) + x0[k + 1:]
                   for k, v in enumerate(x0)]
-    fsim = [f(x) for x in sim]
+    fsim = [fun(x) for x in sim]
     for _ in range(2):  # scipy sorts twice before the first step
         order = _argsort(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    kernel = {2: _simplex_2, 4: _simplex_4}[len(x0)]
+    x, f, nit, nfev = kernel(fun, sim, fsim, maxiter, xatol, fatol)
+    return _Simplex(list(x), f, nit, nfev, nit < maxiter)
+
+
+# The kernels run scipy's loop from the sorted start simplex, with the n = 2
+# or n = 4 coordinates of each vertex written out as a tuple of floats.
+# scipy's coefficients rho = 1, chi = 2, psi = sigma = 0.5 appear as the
+# exact products it forms: reflection 2 c - 1 w, expansion 3 c - 2 w,
+# outside contraction 1.5 c - 0.5 w, inside contraction 0.5 c + 0.5 w,
+# shrink b + 0.5 (v - b); 1 w is w exactly. The centroid c is the left fold
+# of numpy's row by row reduction divided by n, never sum(), which
+# compensates its rounding from Python 3.12. The stop test reads the values
+# before the vertices; neither has side effects. After each step
+# _place_last keeps an order only when it is the ascending one, and _argsort
+# reorders otherwise, as scipy's np.argsort would. Each returns (best
+# vertex, its value, nit, nfev), nfev counting the start simplex.
+
+
+def _simplex_2(fun, sim, fsim, maxiter, xatol, fatol):
+    nfev, nit = 3, 1
     while nit < maxiter:
-        best, worst = sim[0], sim[-1]
-        if (all(abs(fsim[0] - y) <= fatol for y in fsim[1:])
-                and all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, best))):
+        (b0, b1), (p0, p1), (w0, w1) = sim
+        fb, fp, fw = fsim
+        if (abs(fb - fp) <= fatol and abs(fb - fw) <= fatol
+                and abs(p0 - b0) <= xatol and abs(p1 - b1) <= xatol
+                and abs(w0 - b0) <= xatol and abs(w1 - b1) <= xatol):
             break
-        xbar = [functools.reduce(operator.add, c) / n for c in zip(*sim[:-1])]
-        xr = [(1 + rho) * a - rho * b for a, b in zip(xbar, worst)]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = [(1 + rho * chi) * a - rho * chi * b for a, b in zip(xbar, worst)]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+        c0 = (b0 + p0) / 2
+        c1 = (b1 + p1) / 2
+        xr = (2 * c0 - w0, 2 * c1 - w1)
+        fr = fun(xr)
+        nfev += 1
+        if fr < fb:
+            xe = (3 * c0 - 2 * w0, 3 * c1 - 2 * w1)
+            fe = fun(xe)
+            nfev += 1
+            sim[2], fsim[2] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fp:
+            sim[2], fsim[2] = xr, fr
         else:
-            if fxr < fsim[-1]:  # outside contraction, kept unless worse than xr
-                xc = [(1 + psi * rho) * a - psi * rho * b for a, b in zip(xbar, worst)]
-                fxc = f(xc)
-                keep = fxc <= fxr
+            if fr < fw:  # outside contraction, kept unless worse than xr
+                xc = (1.5 * c0 - 0.5 * w0, 1.5 * c1 - 0.5 * w1)
+                fc = fun(xc)
+                keep = fc <= fr
             else:  # inside contraction, kept if better than the worst vertex
-                xc = [(1 - psi) * a + psi * b for a, b in zip(xbar, worst)]
-                fxc = f(xc)
-                keep = fxc < fsim[-1]
+                xc = (0.5 * c0 + 0.5 * w0, 0.5 * c1 + 0.5 * w1)
+                fc = fun(xc)
+                keep = fc < fw
+            nfev += 1
             if keep:
-                sim[-1], fsim[-1] = xc, fxc
+                sim[2], fsim[2] = xc, fc
             else:  # shrink toward the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = [a + sigma * (b - a) for a, b in zip(best, sim[j])]
-                    fsim[j] = f(sim[j])
+                sim[1] = (b0 + 0.5 * (p0 - b0), b1 + 0.5 * (p1 - b1))
+                sim[2] = (b0 + 0.5 * (w0 - b0), b1 + 0.5 * (w1 - b1))
+                fsim[1] = fun(sim[1])
+                fsim[2] = fun(sim[2])
+                nfev += 2
         nit += 1
-        # _place_last checks the whole list, so after a shrink, which moves
-        # every vertex but the best, it keeps only an order that is already
-        # the ascending one
         if not _place_last(sim, fsim):
             order = _argsort(fsim)
             sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    return _Simplex(sim[0], fsim[0], nit, nfev, nit < maxiter)
+    return sim[0], fsim[0], nit, nfev
+
+
+def _simplex_4(fun, sim, fsim, maxiter, xatol, fatol):
+    nfev, nit = 5, 1
+    while nit < maxiter:
+        (b0, b1, b2, b3), (p0, p1, p2, p3), (q0, q1, q2, q3), (s0, s1, s2, s3), \
+            (w0, w1, w2, w3) = sim
+        fb, fp, fq, fs, fw = fsim
+        if (abs(fb - fp) <= fatol and abs(fb - fq) <= fatol
+                and abs(fb - fs) <= fatol and abs(fb - fw) <= fatol
+                and abs(p0 - b0) <= xatol and abs(p1 - b1) <= xatol
+                and abs(p2 - b2) <= xatol and abs(p3 - b3) <= xatol
+                and abs(q0 - b0) <= xatol and abs(q1 - b1) <= xatol
+                and abs(q2 - b2) <= xatol and abs(q3 - b3) <= xatol
+                and abs(s0 - b0) <= xatol and abs(s1 - b1) <= xatol
+                and abs(s2 - b2) <= xatol and abs(s3 - b3) <= xatol
+                and abs(w0 - b0) <= xatol and abs(w1 - b1) <= xatol
+                and abs(w2 - b2) <= xatol and abs(w3 - b3) <= xatol):
+            break
+        c0 = (((b0 + p0) + q0) + s0) / 4
+        c1 = (((b1 + p1) + q1) + s1) / 4
+        c2 = (((b2 + p2) + q2) + s2) / 4
+        c3 = (((b3 + p3) + q3) + s3) / 4
+        xr = (2 * c0 - w0, 2 * c1 - w1, 2 * c2 - w2, 2 * c3 - w3)
+        fr = fun(xr)
+        nfev += 1
+        if fr < fb:
+            xe = (3 * c0 - 2 * w0, 3 * c1 - 2 * w1, 3 * c2 - 2 * w2, 3 * c3 - 2 * w3)
+            fe = fun(xe)
+            nfev += 1
+            sim[4], fsim[4] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fs:
+            sim[4], fsim[4] = xr, fr
+        else:
+            if fr < fw:  # outside contraction, kept unless worse than xr
+                xc = (1.5 * c0 - 0.5 * w0, 1.5 * c1 - 0.5 * w1,
+                      1.5 * c2 - 0.5 * w2, 1.5 * c3 - 0.5 * w3)
+                fc = fun(xc)
+                keep = fc <= fr
+            else:  # inside contraction, kept if better than the worst vertex
+                xc = (0.5 * c0 + 0.5 * w0, 0.5 * c1 + 0.5 * w1,
+                      0.5 * c2 + 0.5 * w2, 0.5 * c3 + 0.5 * w3)
+                fc = fun(xc)
+                keep = fc < fw
+            nfev += 1
+            if keep:
+                sim[4], fsim[4] = xc, fc
+            else:  # shrink toward the best vertex
+                sim[1] = (b0 + 0.5 * (p0 - b0), b1 + 0.5 * (p1 - b1),
+                          b2 + 0.5 * (p2 - b2), b3 + 0.5 * (p3 - b3))
+                sim[2] = (b0 + 0.5 * (q0 - b0), b1 + 0.5 * (q1 - b1),
+                          b2 + 0.5 * (q2 - b2), b3 + 0.5 * (q3 - b3))
+                sim[3] = (b0 + 0.5 * (s0 - b0), b1 + 0.5 * (s1 - b1),
+                          b2 + 0.5 * (s2 - b2), b3 + 0.5 * (s3 - b3))
+                sim[4] = (b0 + 0.5 * (w0 - b0), b1 + 0.5 * (w1 - b1),
+                          b2 + 0.5 * (w2 - b2), b3 + 0.5 * (w3 - b3))
+                fsim[1] = fun(sim[1])
+                fsim[2] = fun(sim[2])
+                fsim[3] = fun(sim[3])
+                fsim[4] = fun(sim[4])
+                nfev += 4
+        nit += 1
+        if not _place_last(sim, fsim):
+            order = _argsort(fsim)
+            sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    return sim[0], fsim[0], nit, nfev
 
 
 def _nelder_mead(objective, x0):

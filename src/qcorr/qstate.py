@@ -227,7 +227,12 @@ def eig_hermitian(m) -> Spectrum:
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -sum_i lambda_i log2 lambda_i, in bits, with 0 log 0 = 0."""
-    vals = eig_hermitian(rho).eigenvalues
+    if isinstance(rho, DensityMatrix):
+        # checked against HERM_TOL when built; eig_hermitian's clipping only
+        # zeroes noise that the > 0 below drops anyway
+        vals = np.linalg.eigvalsh(rho.matrix)[::-1]
+    else:
+        vals = eig_hermitian(rho).eigenvalues
     pos = vals[vals > 0.0]
     if pos.size == 0:
         return 0.0

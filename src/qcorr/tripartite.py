@@ -514,25 +514,52 @@ def _measured_tensor(rho, k, what):
 def _two_angle_objective(r):
     """f(x): S(k | u at Bloch angles x[:2] on i, v at x[2:] on j), from r.
 
-    Outcome a of u leaves M = R_0 + a u.R on (j, k), R_mu = r[mu] flattened;
-    outcome b of v then leaves k with M_0 + b v.M, M_nu the 4-blocks of M.
+    Outcome +-1 of u leaves M = R_0 +- u.R on (j, k), R_mu = r[mu] flattened
+    and unpacked as a, b, c, d; outcome +-1 of v then leaves k with
+    M_0 +- v.M, M_nu the 4-blocks of M.
     """
-    r0, r1, r2, r3 = r.reshape(4, 16).tolist()
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15), \
+        (b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15), \
+        (c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15), \
+        (d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12, d13, d14, d15) \
+        = r.reshape(4, 16).tolist()
 
     def entropy(x):
         ux, uy, uz = _bloch_xyz(x[0], x[1])
         vx, vy, vz = _bloch_xyz(x[2], x[3])
-        d = [ux * a + uy * b + uz * c for a, b, c in zip(r1, r2, r3)]
-        total = 0.0
-        for m in ([a + b for a, b in zip(r0, d)], [a - b for a, b in zip(r0, d)]):
-            m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = m
-            e0 = vx * m4 + vy * m8 + vz * m12
-            e1 = vx * m5 + vy * m9 + vz * m13
-            e2 = vx * m6 + vy * m10 + vz * m14
-            e3 = vx * m7 + vy * m11 + vz * m15
-            total += _outcome_entropy(m0 + e0, m1 + e1, m2 + e2, m3 + e3, 0.25)
-            total += _outcome_entropy(m0 - e0, m1 - e1, m2 - e2, m3 - e3, 0.25)
-        return total
+        # u.R, entry by entry
+        s0 = ux * b0 + uy * c0 + uz * d0
+        s1 = ux * b1 + uy * c1 + uz * d1
+        s2 = ux * b2 + uy * c2 + uz * d2
+        s3 = ux * b3 + uy * c3 + uz * d3
+        s4 = ux * b4 + uy * c4 + uz * d4
+        s5 = ux * b5 + uy * c5 + uz * d5
+        s6 = ux * b6 + uy * c6 + uz * d6
+        s7 = ux * b7 + uy * c7 + uz * d7
+        s8 = ux * b8 + uy * c8 + uz * d8
+        s9 = ux * b9 + uy * c9 + uz * d9
+        s10 = ux * b10 + uy * c10 + uz * d10
+        s11 = ux * b11 + uy * c11 + uz * d11
+        s12 = ux * b12 + uy * c12 + uz * d12
+        s13 = ux * b13 + uy * c13 + uz * d13
+        s14 = ux * b14 + uy * c14 + uz * d14
+        s15 = ux * b15 + uy * c15 + uz * d15
+        # outcome +1 of u: M = R_0 + u.R
+        m0, m1, m2, m3 = a0 + s0, a1 + s1, a2 + s2, a3 + s3
+        e0 = vx * (a4 + s4) + vy * (a8 + s8) + vz * (a12 + s12)
+        e1 = vx * (a5 + s5) + vy * (a9 + s9) + vz * (a13 + s13)
+        e2 = vx * (a6 + s6) + vy * (a10 + s10) + vz * (a14 + s14)
+        e3 = vx * (a7 + s7) + vy * (a11 + s11) + vz * (a15 + s15)
+        total = (0.0 + _outcome_entropy(m0 + e0, m1 + e1, m2 + e2, m3 + e3, 0.25)
+                 + _outcome_entropy(m0 - e0, m1 - e1, m2 - e2, m3 - e3, 0.25))
+        # outcome -1 of u: M = R_0 - u.R
+        m0, m1, m2, m3 = a0 - s0, a1 - s1, a2 - s2, a3 - s3
+        e0 = vx * (a4 - s4) + vy * (a8 - s8) + vz * (a12 - s12)
+        e1 = vx * (a5 - s5) + vy * (a9 - s9) + vz * (a13 - s13)
+        e2 = vx * (a6 - s6) + vy * (a10 - s10) + vz * (a14 - s14)
+        e3 = vx * (a7 - s7) + vy * (a11 - s11) + vz * (a15 - s15)
+        return (total + _outcome_entropy(m0 + e0, m1 + e1, m2 + e2, m3 + e3, 0.25)
+                + _outcome_entropy(m0 - e0, m1 - e1, m2 - e2, m3 - e3, 0.25))
 
     return entropy
 

@@ -173,6 +173,18 @@ class TestSpectraAndEntropies:
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert got.clipped == want.clipped
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entropy_of_density_matrix_matches_its_raw_array(self, seed):
+        # a DensityMatrix skips eig_hermitian's check and clipping; pure
+        # states and their reductions carry clipped noise eigenvalues
+        psi = density_of(haar_random_pure(3, seed))
+        mixed = random_mixed_state(3, seed)
+        for rho in (psi, partial_trace(psi, ["a", "c"]), partial_trace(psi, ["b"]),
+                    mixed, partial_trace(mixed, ["a", "b"])):
+            got = von_neumann_entropy(rho)
+            want = von_neumann_entropy(np.array(rho.matrix))
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
     def test_eig_no_clip_needed(self):
         spec = eig_hermitian(np.diag([0.25, 0.75]))
         assert not spec.clipped

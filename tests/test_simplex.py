@@ -93,18 +93,23 @@ def test_run_stopped_at_maxiter_equals_scipy(runs):
 def test_mixed_report_search_counts(runs):
     # the counts the benchmark pins on its mixed_report warm-up input:
     # 21 runs, 9 of them distinct by (x0, fun, nfev), one two-angle run at
-    # maxiter
+    # maxiter; each run, from the grid point production picked, is scipy's
     correlation_report(random_mixed_state(3, 100))
     distinct = {(x0, float(res.fun), int(res.nfev)) for _, x0, res in runs}
     at_maxiter = [res for _, x0, res in runs
                   if len(x0) == 4 and res.nit >= bipartite.REFINE_ITERS_DEFAULT]
     assert (len(runs), len(distinct), len(at_maxiter)) == (21, 9, 1)
+    for fun, x0, _ in runs:
+        assert_same_as_scipy(fun, x0)
 
 
 def test_oracle_search_counts(runs):
-    # the counts the benchmark pins on its oracle_pure warm-up input
+    # the counts the benchmark pins on its oracle_pure warm-up input, and
+    # each run against scipy
     verify.oracle_crosscheck(1, 256)
     assert (len(runs), sum(bool(res.success) for _, _, res in runs)) == (6, 6)
+    for fun, x0, _ in runs:
+        assert_same_as_scipy(fun, x0)
 
 
 @pytest.mark.parametrize("bad", [NAN, math.inf])
