@@ -38,7 +38,8 @@ REFINE_TOL_DEFAULT = 1e-10
 TIE_TOL = 1e-10
 
 _SY = np.array([[0.0, -1.0], [1.0, 0.0]])  # i*sigma_y, real
-_YY = np.kron(_SY, _SY)  # sigma_y (x) sigma_y up to a global sign squared away
+# sigma_y (x) sigma_y up to a global sign squared away; complex, as matmul casts it
+_YY = np.kron(_SY, _SY).astype(complex)
 
 
 def _bloch_vector(theta, phi):
@@ -110,7 +111,7 @@ def mutual_information(rho_ab: DensityMatrix) -> float:
 
 def _sqrt_psd(m, clip=1e-12):
     vals, vecs = np.linalg.eigh(m)
-    vals = np.where(vals < clip, 0.0, vals)
+    vals[vals < clip] = 0.0
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
@@ -127,7 +128,8 @@ def concurrence(rho_ab: DensityMatrix) -> float:
     m = rho_ab.matrix
     m_tilde = _YY @ m.conj() @ _YY
     lam = np.linalg.svd(_sqrt_psd(m) @ _sqrt_psd(m_tilde), compute_uv=False)
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    l1, l2, l3, l4 = lam.tolist()
+    return max(0.0, l1 - l2 - l3 - l4)
 
 
 def one_to_rest_concurrence(rho_i: DensityMatrix) -> float:

@@ -56,10 +56,12 @@ def _party_labels(labels, n):
         if n > 26:
             raise ValidationError(f"no default labels for {n} parties")
         return tuple(string.ascii_lowercase[:n])
-    if isinstance(labels, (str, dict)):  # iterable, but not a list of names
+    # iterable, but not an ordered list of names: str and bytes split into
+    # characters or byte values, dict gives its keys, a set its hash order
+    if isinstance(labels, (str, bytes, bytearray, dict, set, frozenset)):
         raise ValidationError(f"party labels {labels!r} are not a list")
     try:
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(map(str, labels))
     except TypeError:  # not iterable
         raise ValidationError(f"party labels {labels!r} are not a list") from None
     if len(labels) != n or len(set(labels)) != n:
@@ -111,10 +113,11 @@ class DensityMatrix:
             raise ValidationError(
                 f"dimension {m.shape[0]} is not a power of two qubit dimension"
             )
-        herm_dev = float(np.abs(m - m.conj().T).max())
+        # the reductions .max() and np.trace call, without their wrappers
+        herm_dev = float(np.maximum.reduce(np.abs(m - m.conj().T), None))
         if not herm_dev <= HERM_TOL:  # nan fails each test, before eigvalsh
             raise ValidationError(f"hermiticity violated by {herm_dev:.3e}")
-        tr_dev = abs(complex(np.trace(m)) - 1.0)
+        tr_dev = abs(complex(np.add.reduce(m.diagonal())) - 1.0)
         if not tr_dev <= HERM_TOL:
             raise ValidationError(f"unit trace violated by {tr_dev:.3e}")
         min_eig = float(np.linalg.eigvalsh(m)[0])
@@ -131,10 +134,6 @@ class DensityMatrix:
     def n_parties(self):
         return len(self.parties)
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
     def __repr__(self):
         return f"DensityMatrix(parties={self.parties})"
 
@@ -147,15 +146,12 @@ class Spectrum:
     clipped: bool
 
 
-def _as_array(rho):
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, complex)
-
-
 def density_of(psi: PureState) -> DensityMatrix:
     """Outer product |psi><psi| carrying psi's party labels."""
     if not isinstance(psi, PureState):
         psi = PureState(psi)
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.labels)
+    amp = psi.amplitudes  # np.outer's product below
+    return DensityMatrix(amp[:, None] * amp.conj(), psi.labels)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -164,41 +160,40 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     keep must be a nonempty proper subset of rho.parties. Trace and
     hermiticity are preserved by construction.
     """
-    keep = [str(x) for x in (keep if not isinstance(keep, str) else [keep])]
-    unknown = [x for x in keep if x not in rho.parties]
+    parties = rho.parties
+    keep = [str(keep)] if isinstance(keep, str) else list(map(str, keep))
+    unknown = [x for x in keep if x not in parties]
     if unknown:
-        raise ValidationError(f"unknown parties {unknown!r}; have {rho.parties!r}")
+        raise ValidationError(f"unknown parties {unknown!r}; have {parties!r}")
     if len(set(keep)) != len(keep):
         raise ValidationError(f"duplicate parties in keep: {keep!r}")
-    if not keep or len(keep) == rho.n_parties:
+    n = len(parties)
+    if not keep or len(keep) == n:
         raise ValidationError("keep must be a nonempty proper subset of the parties")
-    keep_idx = sorted(rho.parties.index(x) for x in keep)
-    reduced = _partial_trace_array(rho.matrix, rho.n_parties, keep_idx)
-    return DensityMatrix(reduced, [rho.parties[i] for i in keep_idx])
-
-
-def _partial_trace_array(m, n, keep_idx):
-    tensor = m.reshape((2,) * (2 * n))
+    keep_idx = sorted(map(parties.index, keep))
+    tensor = rho.matrix.reshape((2,) * (2 * n))
     dims = n
-    for idx in sorted(set(range(n)) - set(keep_idx), reverse=True):
-        tensor = np.trace(tensor, axis1=idx, axis2=idx + dims)
-        dims -= 1
-    d = 2 ** len(keep_idx)
-    return tensor.reshape(d, d)
+    for idx in range(n - 1, -1, -1):  # the traced axes, last first
+        if idx not in keep_idx:
+            # what np.trace(tensor, axis1=idx, axis2=idx + dims) calls
+            tensor = tensor.trace(0, idx, idx + dims)
+            dims -= 1
+    d = 1 << len(keep_idx)
+    return DensityMatrix(tensor.reshape(d, d), [parties[i] for i in keep_idx])
 
 
 def permute_parties(rho: DensityMatrix, new_order) -> DensityMatrix:
     """Relabel-preserving reordering of the tensor factors."""
-    new_order = tuple(str(x) for x in new_order)
+    new_order = tuple(map(str, new_order))
     if sorted(new_order) != sorted(rho.parties):
         raise ValidationError(
             f"new order {new_order!r} is not a permutation of {rho.parties!r}"
         )
-    n = rho.n_parties
-    perm = [rho.parties.index(x) for x in new_order]
+    n = len(new_order)
+    perm = list(map(rho.parties.index, new_order))
     tensor = rho.matrix.reshape((2,) * (2 * n))
     tensor = tensor.transpose(perm + [n + p for p in perm])
-    return DensityMatrix(tensor.reshape(2**n, 2**n), new_order)
+    return DensityMatrix(tensor.reshape(1 << n, 1 << n), new_order)
 
 
 def eig_hermitian(m) -> Spectrum:
@@ -259,8 +254,8 @@ def relative_entropy(rho, sigma) -> float:
             raise ValidationError(
                 f"party mismatch: {rho.parties!r} vs {sigma.parties!r}"
             )
-    r = _as_array(rho)
-    s = _as_array(sigma)
+    r = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, complex)
+    s = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, complex)
     if r.shape != s.shape:
         raise ValidationError(f"dimension mismatch: {r.shape} vs {s.shape}")
     s_vals, s_vecs = np.linalg.eigh(s)
@@ -271,7 +266,8 @@ def relative_entropy(rho, sigma) -> float:
         return math.inf
     keep = ~small
     cross = float((weights[keep] * np.log2(s_vals[keep])).sum())
-    value = -von_neumann_entropy(r) - cross
+    # a DensityMatrix skips eig_hermitian's recheck; same positive eigenvalues
+    value = -von_neumann_entropy(rho if isinstance(rho, DensityMatrix) else r) - cross
     return max(0.0, value)
 
 

@@ -266,8 +266,8 @@ def genuine_total_via_relative_entropy(rho) -> float:
     values = []
     for k in rho.parties:
         ij = [x for x in rho.parties if x != k]
-        product = np.kron(partial_trace(rho, ij).matrix,
-                          partial_trace(rho, [k]).matrix)
+        r_ij, r_k = partial_trace(rho, ij).matrix, partial_trace(rho, [k]).matrix
+        product = (r_ij[:, None, :, None] * r_k[None, :, None, :]).reshape(8, 8)  # np.kron
         sigma = permute_parties(DensityMatrix(product, ij + [k]), rho.parties)
         values.append(relative_entropy(rho, sigma))
     return min(values)

@@ -24,6 +24,7 @@ from qcorr import (
     state_to_json,
     von_neumann_entropy,
 )
+from qcorr.qstate import EIG_CLIP, HERM_TOL
 
 H13 = math.log2(3.0) - 2.0 / 3.0  # binary entropy of 1/3
 
@@ -62,6 +63,25 @@ class TestPureState:
         with pytest.raises(ValidationError, match="party labels 5"):
             DensityMatrix(np.eye(4) / 4.0, 5)
 
+    @pytest.mark.parametrize("labels", [
+        {"x", "y"}, frozenset({"x", "y"}), b"xy", bytearray(b"xy")],
+        ids=["set", "frozenset", "bytes", "bytearray"])
+    def test_unordered_and_byte_labels_rejected(self, labels):
+        # a set would give its hash order, which PYTHONHASHSEED changes, and
+        # bytes their byte values ('120', '121')
+        message = f"party labels {labels!r} are not a list"
+        with pytest.raises(ValidationError) as exc:
+            PureState(bell_vec(), labels)
+        assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            DensityMatrix(np.eye(4) / 4.0, labels)
+        assert str(exc.value) == message
+
+    def test_ordered_iterables_accepted(self):
+        psi = PureState(bell_vec(), iter(["x", "y"]))
+        assert psi.labels == ("x", "y")
+        assert DensityMatrix(np.eye(4) / 4.0, {"x": 0, "y": 1}.keys()).parties == ("x", "y")
+
     def test_immutable(self):
         psi = PureState(bell_vec())
         with pytest.raises(AttributeError):
@@ -95,6 +115,115 @@ class TestDensityMatrix:
     def test_tiny_negative_eigenvalue_accepted(self):
         m = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)
         DensityMatrix(m, ("a", "b"))
+
+
+def _herm_off_by(dev):
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] += dev
+    return m
+
+
+def _trace_off_by(dev):
+    m = np.eye(4, dtype=complex) / 4.0
+    m[3, 3] += dev
+    return m
+
+
+def _least_eigenvalue(lo):
+    return np.diag([1.0 - lo, lo, 0.0, 0.0]).astype(complex)
+
+
+def _with_entry(i, j, value):
+    m = np.eye(4, dtype=complex) / 4.0
+    m[i, j] = value
+    return m
+
+
+_RHO3 = density_of(haar_random_pure(3, 5))
+
+# DensityMatrix and partial_trace inputs with the exception type, message
+# and number of eigvalsh calls that commit 23fc16b gave for each: the
+# checks run in the order shape, hermiticity, trace, positivity, labels,
+# and nan fails the hermiticity check before any eigensolve
+ERROR_CONTRACT = [
+    ("herm inside", lambda: DensityMatrix(_herm_off_by(0.9 * HERM_TOL)), None, "", 1),
+    ("herm at", lambda: DensityMatrix(_herm_off_by(HERM_TOL)), None, "", 1),
+    ("herm outside", lambda: DensityMatrix(_herm_off_by(1.1 * HERM_TOL)),
+     ValidationError, "hermiticity violated by 1.100e-10", 0),
+    ("herm imag outside", lambda: DensityMatrix(_herm_off_by(1.1j * HERM_TOL)),
+     ValidationError, "hermiticity violated by 1.100e-10", 0),
+    ("trace inside", lambda: DensityMatrix(_trace_off_by(0.9 * HERM_TOL)), None, "", 1),
+    ("trace outside", lambda: DensityMatrix(_trace_off_by(1.1 * HERM_TOL)),
+     ValidationError, "unit trace violated by 1.100e-10", 0),
+    ("eig above", lambda: DensityMatrix(_least_eigenvalue(-0.9 * EIG_CLIP)), None, "", 1),
+    ("eig below", lambda: DensityMatrix(_least_eigenvalue(-1.1 * EIG_CLIP)),
+     ValidationError, "positivity violated: eigenvalue -1.100e-10", 1),
+    ("nan diagonal", lambda: DensityMatrix(_with_entry(0, 0, math.nan)),
+     ValidationError, "hermiticity violated by nan", 0),
+    ("nan off-diagonal", lambda: DensityMatrix(_with_entry(1, 2, math.nan)),
+     ValidationError, "hermiticity violated by nan", 0),
+    ("nan imaginary part", lambda: DensityMatrix(_with_entry(2, 2, complex(0.25, math.nan))),
+     ValidationError, "hermiticity violated by nan", 0),
+    ("inf off-diagonal", lambda: DensityMatrix(_with_entry(1, 2, math.inf)),
+     ValidationError, "hermiticity violated by inf", 0),
+    ("non-square", lambda: DensityMatrix(np.zeros((2, 3))),
+     ValidationError, "density matrix must be square, got (2, 3)", 0),
+    ("vector", lambda: DensityMatrix(np.array([1.0, 0.0])),
+     ValidationError, "density matrix must be square, got (2,)", 0),
+    ("three axes", lambda: DensityMatrix(np.zeros((2, 2, 2))),
+     ValidationError, "density matrix must be square, got (2, 2, 2)", 0),
+    ("dimension 3", lambda: DensityMatrix(np.eye(3) / 3.0),
+     ValidationError, "dimension 3 is not a power of two qubit dimension", 0),
+    ("dimension 1", lambda: DensityMatrix(np.ones((1, 1))),
+     ValidationError, "dimension 1 is not a power of two qubit dimension", 0),
+    ("dimension 6", lambda: DensityMatrix(np.eye(6) / 6.0),
+     ValidationError, "dimension 6 is not a power of two qubit dimension", 0),
+    ("too few labels", lambda: DensityMatrix(np.eye(4) / 4.0, ["a"]),
+     ValidationError, "need 2 distinct party labels, got ('a',)", 1),
+    ("repeated label", lambda: DensityMatrix(np.eye(4) / 4.0, ["x", "x"]),
+     ValidationError, "need 2 distinct party labels, got ('x', 'x')", 1),
+    ("str labels", lambda: DensityMatrix(np.eye(4) / 4.0, "ab"),
+     ValidationError, "party labels 'ab' are not a list", 1),
+    ("dict labels", lambda: DensityMatrix(np.eye(4) / 4.0, {"a": 1, "b": 2}),
+     ValidationError, "party labels {'a': 1, 'b': 2} are not a list", 1),
+    ("keep unknown", lambda: partial_trace(_RHO3, ["z"]),
+     ValidationError, "unknown parties ['z']; have ('a', 'b', 'c')", 0),
+    ("keep unknown str", lambda: partial_trace(_RHO3, "ab"),
+     ValidationError, "unknown parties ['ab']; have ('a', 'b', 'c')", 0),
+    ("keep unknown twice", lambda: partial_trace(_RHO3, ["z", "z"]),
+     ValidationError, "unknown parties ['z', 'z']; have ('a', 'b', 'c')", 0),
+    ("keep unknown and duplicate", lambda: partial_trace(_RHO3, ["a", "a", "q"]),
+     ValidationError, "unknown parties ['q']; have ('a', 'b', 'c')", 0),
+    ("keep number", lambda: partial_trace(_RHO3, [1]),
+     ValidationError, "unknown parties ['1']; have ('a', 'b', 'c')", 0),
+    ("keep duplicate", lambda: partial_trace(_RHO3, ["a", "a"]),
+     ValidationError, "duplicate parties in keep: ['a', 'a']", 0),
+    ("keep empty", lambda: partial_trace(_RHO3, []),
+     ValidationError, "keep must be a nonempty proper subset of the parties", 0),
+    ("keep all", lambda: partial_trace(_RHO3, ["c", "b", "a"]),
+     ValidationError, "keep must be a nonempty proper subset of the parties", 0),
+    ("keep str", lambda: partial_trace(_RHO3, "b"), None, "", 1),
+]
+
+
+@pytest.mark.parametrize("case, call, error, message, eigvalsh_calls", ERROR_CONTRACT,
+                         ids=[case[0] for case in ERROR_CONTRACT])
+def test_error_contract(monkeypatch, case, call, error, message, eigvalsh_calls):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    if error is None:
+        call()
+    else:
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+    assert len(calls) == eigvalsh_calls
 
 
 class TestPartialTrace:
@@ -191,11 +320,13 @@ class TestSpectraAndEntropies:
         np.testing.assert_allclose(spec.eigenvalues, [0.75, 0.25])
 
     def test_entropy_pure_is_positive_zero(self):
-        # a pure state has entropy 0, and the sign must not be -0.0
-        rho = density_of(PureState(bell_vec()))
-        s = von_neumann_entropy(rho)
-        assert abs(s) < 1e-12
-        assert math.copysign(1.0, s) > 0.0
+        # a pure state has entropy 0, and the sign must not be -0.0, the
+        # value of |0>'s single term -(1.0 * log2(1.0))
+        for rho in (density_of(PureState(bell_vec())),
+                    density_of(PureState(np.array([1.0, 0.0])))):
+            for s in (von_neumann_entropy(rho), von_neumann_entropy(rho.matrix)):
+                assert abs(s) < 1e-12
+                assert math.copysign(1.0, s) > 0.0
 
     def test_entropy_maximally_mixed(self):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2.0, ("a",))

@@ -7,6 +7,7 @@ import pytest
 from qcorr import verify
 from qcorr import (
     AcinForm,
+    DensityMatrix,
     N_PARTY_CHECKS,
     PropertyCheck,
     PureState,
@@ -142,6 +143,30 @@ class TestEvaluateSample:
         m1 = evaluate_sample(psi, 99)["margins"]["local_unitary_invariance"]
         m2 = evaluate_sample(psi, 99)["margins"]["local_unitary_invariance"]
         assert m1 == m2
+
+
+@pytest.mark.parametrize("psi", [haar_random_pure(3, 0), haar_random_pure(3, 1),
+                                 haar_random_pure(3, 2), ghz_state()],
+                         ids=["haar0", "haar1", "haar2", "ghz"])
+def test_linalg_counts_per_sample(monkeypatch, psi):
+    # the haar_verify counts perfbench pins per sample, counted where its
+    # tracer counts them: the numpy.linalg attributes, looked up at call
+    # time, and DensityMatrix.__init__
+    counts = {}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigvalsh", "eigh", "svd", "det"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(DensityMatrix, "__init__",
+                        counting("DensityMatrix", DensityMatrix.__init__))
+    evaluate_sample(psi, 7)
+    assert counts == {"DensityMatrix": 133, "eigvalsh": 223, "eigh": 65, "svd": 31,
+                      "det": 5}
 
 
 class TestRunSuite:
