@@ -50,20 +50,25 @@ def _nonnegative_seed(seed):
     return seed
 
 
+def _label_list(labels):
+    """Party labels as a tuple of strings, in the order given."""
+    # iterable, but not an ordered list of names: str and bytes split into
+    # characters or byte values, dict gives its keys, a set its hash order
+    if isinstance(labels, (str, bytes, bytearray, dict, set, frozenset)):
+        raise ValidationError(f"party labels {labels!r} are not a list")
+    try:
+        return tuple(map(str, labels))
+    except TypeError:  # not iterable
+        raise ValidationError(f"party labels {labels!r} are not a list") from None
+
+
 def _party_labels(labels, n):
     """n distinct party labels as strings; None gives a, b, c, ..."""
     if labels is None:
         if n > 26:
             raise ValidationError(f"no default labels for {n} parties")
         return tuple(string.ascii_lowercase[:n])
-    # iterable, but not an ordered list of names: str and bytes split into
-    # characters or byte values, dict gives its keys, a set its hash order
-    if isinstance(labels, (str, bytes, bytearray, dict, set, frozenset)):
-        raise ValidationError(f"party labels {labels!r} are not a list")
-    try:
-        labels = tuple(map(str, labels))
-    except TypeError:  # not iterable
-        raise ValidationError(f"party labels {labels!r} are not a list") from None
+    labels = _label_list(labels)
     if len(labels) != n or len(set(labels)) != n:
         raise ValidationError(f"need {n} distinct party labels, got {labels!r}")
     return labels
@@ -184,7 +189,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def permute_parties(rho: DensityMatrix, new_order) -> DensityMatrix:
     """Relabel-preserving reordering of the tensor factors."""
-    new_order = tuple(map(str, new_order))
+    new_order = _label_list(new_order)
     if sorted(new_order) != sorted(rho.parties):
         raise ValidationError(
             f"new order {new_order!r} is not a permutation of {rho.parties!r}"

@@ -593,20 +593,25 @@ class TestProcessEntryPoints:
         proc = run_process("verify", "--samples", "abc")
         assert proc.returncode == 1
 
-    def test_closed_form_commands_do_not_import_scipy(self):
-        # only the measurement searches of mixed states need scipy
+    def test_commands_do_not_import_scipy(self, tmp_path):
+        # the measurement searches of discord2q and verify --oracle run on
+        # the in-repo simplex, so no command loads scipy
+        path = tmp_path / "mixed.json"
+        path.write_text(matrix_to_json(random_mixed_state(2, 3)))
         script = (
             "import contextlib, io, sys\n"
             "from qcorr.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [main(['analyze', 'ghz']),\n"
             "             main(['sweep', 'both', '0', '1', '0.5']),\n"
-            "             main(['verify', '--samples', '2'])]\n"
+            "             main(['verify', '--samples', '2']),\n"
+            f"             main(['discord2q', {str(path)!r}, '--format', 'json']),\n"
+            "             main(['verify', '--samples', '1', '--oracle'])]\n"
             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True)
-        assert proc.stdout == "[0, 0, 0] []\n", proc.stderr
+        assert proc.stdout == "[0, 0, 0, 0, 0] []\n", proc.stderr
 
 
 class TestNanInput:

@@ -282,6 +282,24 @@ class TestPermuteParties:
         with pytest.raises(ValidationError):
             permute_parties(rho, ["a"])
 
+    @pytest.mark.parametrize("order", [
+        "cba", b"cba", bytearray(b"cba"), {"c": 0, "b": 1, "a": 2},
+        {"a", "b", "c"}, frozenset("abc"), 3])
+    def test_order_must_be_a_list(self, order):
+        # a set would permute in hash order, a str or bytes by its characters
+        rho = random_mixed_state(3, 0)
+        with pytest.raises(ValidationError, match="party labels .* are not a list"):
+            permute_parties(rho, order)
+
+    @pytest.mark.parametrize("make", [list, tuple, lambda s: (c for c in s)],
+                             ids=["list", "tuple", "generator"])
+    def test_ordered_iterables_are_accepted(self, make):
+        rho = random_mixed_state(3, 0)
+        out = permute_parties(rho, make("cab"))
+        assert out.parties == ("c", "a", "b")
+        np.testing.assert_array_equal(
+            out.matrix, permute_parties(rho, ["c", "a", "b"]).matrix)
+
 
 class TestSpectraAndEntropies:
     def test_eig_clipping(self):

@@ -7,16 +7,22 @@ because moving phi at theta = 0 changes no objective value. A failure here
 names the scipy version it was compared against.
 """
 
+import contextlib
+import io
 import math
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from qcorr import DensityMatrix, correlation_report, partial_trace, random_mixed_state
-from qcorr import bipartite, tripartite, verify
+from qcorr import bipartite, matrix_to_json, tripartite, verify
+from qcorr.cli import main
 
 OPTIONS = {"maxiter": bipartite.REFINE_ITERS_DEFAULT,
            "xatol": bipartite.REFINE_TOL_DEFAULT,
@@ -110,6 +116,61 @@ def test_oracle_search_counts(runs):
     assert (len(runs), sum(bool(res.success) for _, _, res in runs)) == (6, 6)
     for fun, x0, _ in runs:
         assert_same_as_scipy(fun, x0)
+
+
+@pytest.fixture
+def minimize_runs(monkeypatch):
+    """Result of every scipy.optimize.minimize call, wrapped as perfbench's tracer does."""
+    recorded = []
+    real = scipy.optimize.minimize
+
+    def traced(fun, x0, *args, **kwargs):
+        res = real(fun, x0, *args, **kwargs)
+        recorded.append(res)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", traced)
+    return recorded
+
+
+def test_searches_reach_a_patched_minimize(minimize_runs):
+    # the benchmark's tracer imports scipy.optimize, patches its minimize
+    # and counts the runs there; once scipy is loaded every search has to
+    # take that route, or the pinned counts read 0
+    correlation_report(random_mixed_state(3, 100))
+    assert len(minimize_runs) == 21
+    minimize_runs.clear()
+    verify.oracle_crosscheck(1, 256)
+    assert len(minimize_runs) == 6
+
+
+# the same three results in a fresh interpreter where importing scipy fails,
+# so every search calls _simplex directly
+ROUTE_SCRIPT = """
+import contextlib, io, pickle, sys
+sys.modules["scipy"] = None
+from qcorr import correlation_report, random_mixed_state, verify
+from qcorr.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["discord2q", sys.argv[1], "--format", "json"])
+sys.stdout.buffer.write(pickle.dumps((
+    correlation_report(random_mixed_state(3, 100)).to_dict(),
+    verify.oracle_crosscheck(1, 256).to_dict(), code, out.getvalue())))
+"""
+
+
+def test_route_without_scipy_gives_the_same_results(tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(matrix_to_json(random_mixed_state(2, 5)))
+    proc = subprocess.run([sys.executable, "-c", ROUTE_SCRIPT, str(path)],
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert "scipy.optimize" in sys.modules  # here the searches go through minimize
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["discord2q", str(path), "--format", "json"])
+    here = (correlation_report(random_mixed_state(3, 100)).to_dict(),
+            verify.oracle_crosscheck(1, 256).to_dict(), code, out.getvalue())
+    assert pickle.loads(proc.stdout) == here
 
 
 @pytest.mark.parametrize("bad", [NAN, math.inf])
