@@ -118,11 +118,18 @@ class DensityMatrix:
             raise ValidationError(
                 f"dimension {m.shape[0]} is not a power of two qubit dimension"
             )
-        # the reductions .max() and np.trace call, without their wrappers
-        herm_dev = float(np.maximum.reduce(np.abs(m - m.conj().T), None))
+        # the reductions .max() and np.trace call, without their wrappers. A
+        # nan or inf entry makes herm_dev nan or inf, so entries are tested
+        # for finiteness only once that test fails; finite entries whose
+        # difference or diagonal sum overflows give inf. Neither warns here
+        with np.errstate(invalid="ignore", over="ignore"):
+            herm_dev = float(np.maximum.reduce(np.abs(m - m.conj().T), None))
+            trace = complex(np.add.reduce(m.diagonal()))
         if not herm_dev <= HERM_TOL:  # nan fails each test, before eigvalsh
+            if not np.isfinite(m).all():
+                raise ValidationError("non-finite entry")
             raise ValidationError(f"hermiticity violated by {herm_dev:.3e}")
-        tr_dev = abs(complex(np.add.reduce(m.diagonal())) - 1.0)
+        tr_dev = abs(trace - 1.0)
         if not tr_dev <= HERM_TOL:
             raise ValidationError(f"unit trace violated by {tr_dev:.3e}")
         min_eig = float(np.linalg.eigvalsh(m)[0])

@@ -139,12 +139,20 @@ def _with_entry(i, j, value):
     return m
 
 
+def _with_pair(i, j, upper, lower):
+    m = _with_entry(i, j, upper)
+    m[j, i] = lower
+    return m
+
+
 _RHO3 = density_of(haar_random_pure(3, 5))
 
 # DensityMatrix and partial_trace inputs with the exception type, message
 # and number of eigvalsh calls that commit 23fc16b gave for each: the
-# checks run in the order shape, hermiticity, trace, positivity, labels,
-# and nan fails the hermiticity check before any eigensolve
+# checks run in the order shape, hermiticity, trace, positivity, labels.
+# Since then a nan or inf entry is rejected as non-finite, not as a
+# hermiticity violation, and entries whose difference or diagonal sum
+# overflows read inf there, with no RuntimeWarning, before any eigensolve
 ERROR_CONTRACT = [
     ("herm inside", lambda: DensityMatrix(_herm_off_by(0.9 * HERM_TOL)), None, "", 1),
     ("herm at", lambda: DensityMatrix(_herm_off_by(HERM_TOL)), None, "", 1),
@@ -159,12 +167,20 @@ ERROR_CONTRACT = [
     ("eig below", lambda: DensityMatrix(_least_eigenvalue(-1.1 * EIG_CLIP)),
      ValidationError, "positivity violated: eigenvalue -1.100e-10", 1),
     ("nan diagonal", lambda: DensityMatrix(_with_entry(0, 0, math.nan)),
-     ValidationError, "hermiticity violated by nan", 0),
+     ValidationError, "non-finite entry", 0),
     ("nan off-diagonal", lambda: DensityMatrix(_with_entry(1, 2, math.nan)),
-     ValidationError, "hermiticity violated by nan", 0),
+     ValidationError, "non-finite entry", 0),
     ("nan imaginary part", lambda: DensityMatrix(_with_entry(2, 2, complex(0.25, math.nan))),
-     ValidationError, "hermiticity violated by nan", 0),
+     ValidationError, "non-finite entry", 0),
     ("inf off-diagonal", lambda: DensityMatrix(_with_entry(1, 2, math.inf)),
+     ValidationError, "non-finite entry", 0),
+    ("inf diagonal", lambda: DensityMatrix(np.diag([math.inf, 0.0, 0.0, 0.0])),
+     ValidationError, "non-finite entry", 0),
+    ("mirrored inf off-diagonal", lambda: DensityMatrix(_with_pair(0, 1, math.inf, math.inf)),
+     ValidationError, "non-finite entry", 0),
+    ("overflowing trace", lambda: DensityMatrix(np.diag([1e308, 1e308, 0.0, 0.0])),
+     ValidationError, "unit trace violated by inf", 0),
+    ("overflowing difference", lambda: DensityMatrix(_with_pair(0, 1, 1e308, -1e308)),
      ValidationError, "hermiticity violated by inf", 0),
     ("non-square", lambda: DensityMatrix(np.zeros((2, 3))),
      ValidationError, "density matrix must be square, got (2, 3)", 0),
@@ -552,7 +568,7 @@ class TestNanInputs:
             PureState(np.full(8, np.nan))
 
     def test_density_matrix_rejects_nan_before_eigensolve(self):
-        with pytest.raises(ValidationError, match="hermiticity violated by nan"):
+        with pytest.raises(ValidationError, match="non-finite entry"):
             DensityMatrix(np.full((4, 4), np.nan))
         m = np.eye(4, dtype=complex) / 4.0
         m[0, 0] = np.nan

@@ -1,9 +1,10 @@
-"""Checks on the source tree: imports, and the names the benchmark traces."""
+"""Checks on the source tree: imports, and the counts the benchmark pins."""
 
 import ast
 import importlib
-import importlib.util
 import pathlib
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -36,17 +37,23 @@ def test_no_unused_imports():
     assert unused == {}
 
 
-def test_traced_names_exist():
-    # perfbench/tracer.py looks each name up with getattr, so a deleted or
-    # renamed function would otherwise fail only the benchmark's smoke job.
-    # The tracer imports only the standard library at module level.
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    missing = [f"qcorr.{module}.{name}"
-               for module, names in tracer.QCORR_FUNCTIONS.items()
-               for name in names
-               if not callable(getattr(importlib.import_module(f"qcorr.{module}"),
-                                       name, None))]
-    assert tracer.QCORR_FUNCTIONS and missing == []
+@pytest.fixture
+def worker(monkeypatch):
+    """perfbench/worker.py, whose modules import each other by bare name."""
+    with monkeypatch.context() as patch:
+        patch.syspath_prepend(str(ROOT / "perfbench"))
+        return importlib.import_module("worker")
+
+
+@pytest.mark.parametrize("workload", ["haar_verify", "mixed_report", "oracle_pure"])
+def test_benchmark_warm_call_counts(worker, workload):
+    # what worker.traced_in_process checks before its timed calls: the
+    # counts of one traced warm-up call against those perfbench pins. The
+    # tracer looks up every name it wraps with getattr and counts the
+    # searches at a patched scipy.optimize.minimize, so a renamed traced
+    # function, or a search that bypasses minimize, fails here too
+    tracer, problems = worker.tracing.Tracer(), []
+    with worker.installed(tracer, problems):
+        worker.wl.make_call(workload, worker.wl.WARM_INPUT[workload])()
+        problems += worker.warm_count_problems(workload, tracer.counts())
+    assert problems == []
