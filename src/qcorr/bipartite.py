@@ -116,9 +116,11 @@ def mutual_information(rho_ab: DensityMatrix) -> float:
 
 
 def _sqrt_psd(m, clip=1e-12):
+    """The root of each positive semidefinite matrix in m (..., d, d)."""
     vals, vecs = np.linalg.eigh(m)
     vals[vals < clip] = 0.0
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    np.sqrt(vals, out=vals)
+    return (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def concurrence(rho_ab: DensityMatrix) -> float:
@@ -131,17 +133,27 @@ def concurrence(rho_ab: DensityMatrix) -> float:
     floor that taking sqrt of eigensolver noise would impose.
     """
     _require_parties(rho_ab, 2, "concurrence")
-    m = rho_ab.matrix
+    return _wootters(*_root_lambdas(rho_ab.matrix).tolist())
+
+
+def _root_lambdas(m):
+    """concurrence's descending lambdas of each 4x4 matrix in m (..., 4, 4)."""
     m_tilde = _YY @ m.conj() @ _YY
-    lam = np.linalg.svd(_sqrt_psd(m) @ _sqrt_psd(m_tilde), compute_uv=False)
-    l1, l2, l3, l4 = lam.tolist()
+    return np.linalg.svd(_sqrt_psd(m) @ _sqrt_psd(m_tilde), compute_uv=False)
+
+
+def _wootters(l1, l2, l3, l4):
     return max(0.0, l1 - l2 - l3 - l4)
 
 
 def one_to_rest_concurrence(rho_i: DensityMatrix) -> float:
     """C_i = 2 sqrt(det rho_i) for one qubit of a pure multipartite state."""
     _require_parties(rho_i, 1, "one_to_rest_concurrence")
-    det = float(np.linalg.det(rho_i.matrix).real)
+    return _one_to_rest(float(np.linalg.det(rho_i.matrix).real))
+
+
+def _one_to_rest(det):
+    """C_i from the determinant det of rho_i."""
     return 2.0 * math.sqrt(max(det, 0.0))
 
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: analyze (full correlation report of a three-qubit state),
-sweep (interpolation families over a p grid, CSV output), verify
+sweep (interpolation families over a p grid, as CSV, table or JSON), verify
 (Monte-Carlo property checks), discord2q (standalone two-qubit discord).
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal
 invariant failure, 4 verification violations.
@@ -54,13 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write each two-qubit reduction as matrix JSON")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_sw = subs.add_parser("sweep", help="family sweep over p, CSV output")
+    p_sw = subs.add_parser("sweep", help="family sweep over p, as CSV, table or JSON")
     p_sw.add_argument("family", choices=("ghz_tilde", "w_tilde", "both"))
     p_sw.add_argument("p_min", type=float)
     p_sw.add_argument("p_max", type=float)
     p_sw.add_argument("step", type=float)
-    p_sw.add_argument("--out", metavar="PATH", help="CSV output file "
-                      "(default: CSV on stdout, summary on stderr)")
+    p_sw.add_argument("--out", metavar="PATH", help="file for the --format "
+                      "output (default: stdout, with the summary on stderr)")
     p_sw.add_argument("--format", choices=("csv", "table", "json"),
                       default="csv")
     p_sw.set_defaults(func=cmd_sweep)

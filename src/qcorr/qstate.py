@@ -118,23 +118,7 @@ class DensityMatrix:
             raise ValidationError(
                 f"dimension {m.shape[0]} is not a power of two qubit dimension"
             )
-        # the reductions .max() and np.trace call, without their wrappers. A
-        # nan or inf entry makes herm_dev nan or inf, so entries are tested
-        # for finiteness only once that test fails; finite entries whose
-        # difference or diagonal sum overflows give inf. Neither warns here
-        with np.errstate(invalid="ignore", over="ignore"):
-            herm_dev = float(np.maximum.reduce(np.abs(m - m.conj().T), None))
-            trace = complex(np.add.reduce(m.diagonal()))
-        if not herm_dev <= HERM_TOL:  # nan fails each test, before eigvalsh
-            if not np.isfinite(m).all():
-                raise ValidationError("non-finite entry")
-            raise ValidationError(f"hermiticity violated by {herm_dev:.3e}")
-        tr_dev = abs(trace - 1.0)
-        if not tr_dev <= HERM_TOL:
-            raise ValidationError(f"unit trace violated by {tr_dev:.3e}")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if not min_eig >= -EIG_CLIP:
-            raise ValidationError(f"positivity violated: eigenvalue {min_eig:.3e}")
+        _checked_spectrum(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "parties", _party_labels(parties, n))
@@ -150,6 +134,34 @@ class DensityMatrix:
         return f"DensityMatrix(parties={self.parties})"
 
 
+# as a decorator, errstate skips building a context object on every call
+@np.errstate(invalid="ignore", over="ignore")
+def _checked_spectrum(m):
+    """Ascending eigenvalues of the matrices m (..., d, d), each a density matrix.
+
+    The tests of DensityMatrix, on every matrix of the stack at once; a
+    stack fails on its worst matrix.
+    """
+    # the reductions .max() and np.trace call, without their wrappers. A
+    # nan or inf entry makes herm_dev nan or inf, so entries are tested
+    # for finiteness only once that test fails; finite entries whose
+    # difference or diagonal sum overflows give inf. Neither warns here
+    herm_dev = float(np.maximum.reduce(np.abs(m - m.conj().swapaxes(-1, -2)), None))
+    tr_dev = abs(np.add.reduce(m.diagonal(0, -2, -1), -1) - 1.0)
+    tr_dev = tr_dev if m.ndim == 2 else tr_dev.max()
+    if not herm_dev <= HERM_TOL:  # nan fails each test, before eigvalsh
+        if not np.isfinite(m).all():
+            raise ValidationError("non-finite entry")
+        raise ValidationError(f"hermiticity violated by {herm_dev:.3e}")
+    if not tr_dev <= HERM_TOL:
+        raise ValidationError(f"unit trace violated by {tr_dev:.3e}")
+    vals = np.linalg.eigvalsh(m)
+    min_eig = vals[0] if m.ndim == 2 else vals[..., 0].min()
+    if not min_eig >= -EIG_CLIP:
+        raise ValidationError(f"positivity violated: eigenvalue {min_eig:.3e}")
+    return vals
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Real eigenvalues sorted descending; clipped marks negative-noise rounding."""
@@ -162,8 +174,12 @@ def density_of(psi: PureState) -> DensityMatrix:
     """Outer product |psi><psi| carrying psi's party labels."""
     if not isinstance(psi, PureState):
         psi = PureState(psi)
-    amp = psi.amplitudes  # np.outer's product below
-    return DensityMatrix(amp[:, None] * amp.conj(), psi.labels)
+    return DensityMatrix(_outer(psi.amplitudes), psi.labels)
+
+
+def _outer(amp):
+    """|psi><psi| of each amplitude vector in amp (..., d): np.outer's product."""
+    return amp[..., None] * amp[..., None, :].conj()
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -183,15 +199,23 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if not keep or len(keep) == n:
         raise ValidationError("keep must be a nonempty proper subset of the parties")
     keep_idx = sorted(map(parties.index, keep))
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    dims = n
-    for idx in range(n - 1, -1, -1):  # the traced axes, last first
+    return DensityMatrix(_trace_out(rho.matrix, keep_idx), [parties[i] for i in keep_idx])
+
+
+def _trace_out(m, keep_idx):
+    """The reduction of each matrix in m (..., 2^n, 2^n) to the sorted qubits keep_idx."""
+    lead = m.shape[:-2]
+    n = m.shape[-1].bit_length() - 1
+    tensor = m.reshape(lead + (2,) * (2 * n))
+    row = len(lead)  # the axis of the first row index
+    col = row + n  # and of the first column index
+    for idx in range(n - 1, -1, -1):  # the traced qubits, last first
         if idx not in keep_idx:
-            # what np.trace(tensor, axis1=idx, axis2=idx + dims) calls
-            tensor = tensor.trace(0, idx, idx + dims)
-            dims -= 1
+            # what np.trace(tensor, axis1=..., axis2=...) calls
+            tensor = tensor.trace(0, row + idx, col + idx)
+            col -= 1
     d = 1 << len(keep_idx)
-    return DensityMatrix(tensor.reshape(d, d), [parties[i] for i in keep_idx])
+    return tensor.reshape(lead + (d, d))
 
 
 def permute_parties(rho: DensityMatrix, new_order) -> DensityMatrix:
@@ -240,11 +264,21 @@ def von_neumann_entropy(rho) -> float:
         vals = np.linalg.eigvalsh(rho.matrix)[::-1]
     else:
         vals = eig_hermitian(rho).eigenvalues
+    return _entropy(vals)
+
+
+def _entropy(vals):
+    """-sum lambda log2 lambda over the positive entries of one descending spectrum.
+
+    Stacks are summed one spectrum at a time: a masked sum over a stack's
+    rows adds in another order and can change the last bit.
+    """
     pos = vals[vals > 0.0]
     if pos.size == 0:
         return 0.0
-    # + 0.0 normalizes -0.0 from a pure state's single unit eigenvalue
-    return float(-(pos * np.log2(pos)).sum()) + 0.0
+    # + 0.0 normalizes -0.0 from a pure state's single unit eigenvalue; the
+    # reduction .sum() calls, without its wrapper
+    return float(-np.add.reduce(pos * np.log2(pos))) + 0.0
 
 
 def binary_entropy(x: float) -> float:

@@ -23,8 +23,12 @@ from .qstate import (
     ROUNDING_SLACK,
     DensityMatrix,
     PureState,
+    _checked_spectrum,
     _clamp_unit,
+    _entropy,
     _floor_zero,
+    _outer,
+    _trace_out,
     density_of,
     partial_trace,
     permute_parties,
@@ -37,12 +41,15 @@ from .bipartite import (
     _hemisphere,
     _kw_forms,
     _min_conditional_entropy,
+    _one_to_rest,
     _outcome_entropies,
     _outcome_entropy,
     _party_slot,
     _pauli_tensor,
     _pure_state,
+    _root_lambdas,
     _search,
+    _wootters,
     concurrence,
     eof_from_concurrence,
     one_to_rest_concurrence,
@@ -53,6 +60,9 @@ from .bipartite import (
 
 CUT_PRODUCT_TOL = 1e-6
 DOUBLE_GRID_DEFAULT = 30
+# states per block of _pure_reports: bounds its stacks, about 1 MB, on a
+# sweep of any length
+_STATE_BLOCK = 256
 # u points per block of the two-angle grid fill: 16 of the default 421 give
 # 0.43 MB of buffers for the float32 screen (1.3 MB for a float64 pass over
 # every row), reused from block to block
@@ -186,13 +196,17 @@ def _as_three_party(rho, what):
 def _entropies_and_pairs(rho):
     labels = rho.parties
     s1 = {x: von_neumann_entropy(partial_trace(rho, [x])) for x in labels}
-    pair_rho = {}
-    pair_i = {}
-    for i, j in itertools.combinations(labels, 2):
-        red = partial_trace(rho, [i, j])
-        pair_rho[(i, j)] = red
-        pair_i[(i, j)] = s1[i] + s1[j] - von_neumann_entropy(red)
-    return s1, pair_rho, pair_i
+    pair_rho = {pair: partial_trace(rho, pair) for pair in itertools.combinations(labels, 2)}
+    return s1, pair_rho, _mutual_infos(s1, _pair_entropies(pair_rho))
+
+
+def _pair_entropies(pair_rho):
+    return {pair: von_neumann_entropy(red) for pair, red in pair_rho.items()}
+
+
+def _mutual_infos(s1, pair_s):
+    """{(i, j): I(i:j)} from the one-qubit entropies s1 and the pair entropies pair_s."""
+    return {(i, j): s1[i] + s1[j] - s for (i, j), s in pair_s.items()}
 
 
 def _pair_lookup(table, i, j):
@@ -273,17 +287,17 @@ def genuine_total_via_relative_entropy(rho) -> float:
     return min(values)
 
 
-def _cut_mutual(abc, s1, pair_rho, s_rho):
+def _cut_mutual(abc, s1, pair_s, s_rho):
     """I(xy:z) across the cuts ab|c, ac|b and bc|a of the ordering abc."""
     a, b, c = abc
-    return tuple(_floor_zero(von_neumann_entropy(_pair_lookup(pair_rho, x, y))
-                             + s1[z] - s_rho, "cut mutual information")
+    return tuple(_floor_zero(_pair_lookup(pair_s, x, y) + s1[z] - s_rho,
+                             "cut mutual information")
                  for x, y, z in ((a, b, c), (a, c, b), (b, c, a)))
 
 
 def total_discord_pure(psi) -> float:
     """D = S(rho_a) + E(rho_bc) in the canonical ordering."""
-    return _report_pure(_pure_state(psi, "total_discord_pure")).D
+    return _pure_reports([_pure_state(psi, "total_discord_pure")])[0].D
 
 
 def _last_party_entropy(psi, what):
@@ -308,10 +322,15 @@ def three_tangle(psi) -> float:
     psi = _pure_state(psi, "three_tangle")
     rho = density_of(psi)
     first = psi.labels[0]
-    c_one = one_to_rest_concurrence(partial_trace(rho, [first]))
+    return _residual_tangle(one_to_rest_concurrence(partial_trace(rho, [first])),
+                            [concurrence(partial_trace(rho, [first, other]))
+                             for other in psi.labels[1:]])
+
+
+def _residual_tangle(c_one, c_pairs):
+    """tau from the first party's one-to-rest concurrence and its pair concurrences."""
     tau = c_one * c_one
-    for other in psi.labels[1:]:
-        c_pair = concurrence(partial_trace(rho, [first, other]))
+    for c_pair in c_pairs:
         tau -= c_pair * c_pair
     return _floor_zero(tau, "residual tangle")
 
@@ -382,28 +401,59 @@ def correlation_report(state) -> CorrelationReport:
 
 
 def _report_pure(psi):
-    """Closed-form report of a pure three-qubit state psi."""
+    """Closed-form report of a pure three-qubit state psi, one matrix at a time."""
     rho = density_of(psi)
-    s1, pair_rho, pair_i = _entropies_and_pairs(rho)
-    s_rho = von_neumann_entropy(rho)
+    s1, pair_rho, _ = _entropies_and_pairs(rho)
     # Three repeats held only by perfbench's pinned 133/223 per-sample counts
     # (ROADMAP item 1), whose re-pin deletes them here: canonical_ordering
-    # rebuilds the table that _ordering(rho.parties, pair_i) would read, the
-    # cuts are computed for the D2 branch and again for the report field, and
+    # rebuilds the table that _entropies_and_pairs has just built, the
+    # pair entropies are taken three times where once would do, and
     # three_tangle re-derives rho, two pair reductions and their concurrences.
-    order = canonical_ordering(rho)
-    branch_cut = _cut_mutual(order.permutation, s1, pair_rho, s_rho)
-    tangle = three_tangle(psi)
+    _pair_entropies(pair_rho)
+    return _closed_form(canonical_ordering(rho), s1, _pair_entropies(pair_rho),
+                        _pair_eofs(pair_rho), von_neumann_entropy(rho), three_tangle(psi))
 
-    eof = _pair_eofs(pair_rho)
+
+def _pure_reports(states):
+    """_report_pure of each three-qubit PureState in states, bit for bit.
+
+    The states go _STATE_BLOCK at a time through the scalar route's
+    arithmetic on stacks: one eigensolver call per kind of matrix, each
+    spectrum's entropy summed on its own as von_neumann_entropy does, and
+    one _closed_form per state.
+    """
+    states, reports = iter(states), []
+    while block := list(itertools.islice(states, _STATE_BLOCK)):
+        rho = _outer(np.array([psi.amplitudes for psi in block]))
+        ones = np.stack([_trace_out(rho, [x]) for x in range(3)], 1)
+        pairs = np.stack([_trace_out(rho, ij) for ij in itertools.combinations(range(3), 2)], 1)
+        rows = zip(block, _checked_spectrum(rho)[:, ::-1], _checked_spectrum(ones)[..., ::-1],
+                   _checked_spectrum(pairs)[..., ::-1], _root_lambdas(pairs).tolist(),
+                   np.linalg.det(ones[:, 0]).real.tolist())
+        for psi, vals, vals_1, vals_2, lambdas, det_a in rows:
+            keys = list(itertools.combinations(psi.labels, 2))
+            s1 = dict(zip(psi.labels, map(_entropy, vals_1)))
+            pair_s = dict(zip(keys, map(_entropy, vals_2)))
+            conc = [_wootters(*lam) for lam in lambdas]
+            reports.append(_closed_form(
+                _ordering(psi.labels, _mutual_infos(s1, pair_s)), s1, pair_s,
+                dict(zip(keys, map(eof_from_concurrence, conc))),
+                _entropy(vals), _residual_tangle(_one_to_rest(det_a), conc[:2])))
+    return reports
+
+
+def _closed_form(order, s1, pair_s, eof, s_rho, tangle):
+    """The closed-form report from a pure state's canonical ordering, its
+    one-qubit, pair and global entropies, pair EoFs and residual tangle.
+    """
+    cut = _cut_mutual(order.permutation, s1, pair_s, s_rho)
     kw = _kw_table(s1, eof)
     a, b, c = order.permutation
     e_bc = _pair_lookup(eof, b, c)
     j2, d2 = kw[(b, a)]
-    if min(branch_cut) <= CUT_PRODUCT_TOL:
+    if min(cut) <= CUT_PRODUCT_TOL:
         # the definition: the least directional discord D_{i:j}, j measured
         d2 = min(d for _, d in kw.values())
-    cut = _cut_mutual(order.permutation, s1, pair_rho, s_rho)
     return _assemble_report(sum(s1.values()) - s_rho, s1[b] + s1[c] - e_bc,
                             s1[a] + e_bc, j2, d2, order, cut, tangle)
 
@@ -417,7 +467,7 @@ def _report_mixed(rho):
     j = _total_classical_mixed(rho, s1, pair_rho)
     j2 = max(symmetrized_classical(red) for red in pair_rho.values())
     d2 = min(symmetrized_discord(red) for red in pair_rho.values())
-    cut = _cut_mutual(order.permutation, s1, pair_rho, s_rho)
+    cut = _cut_mutual(order.permutation, s1, _pair_entropies(pair_rho), s_rho)
     return _assemble_report(t, j, t - j, j2, d2, order, cut, None)
 
 
@@ -455,8 +505,8 @@ def sweep_grid(p_min, p_max, step):
         raise ValidationError(
             f"need 0 <= p_min <= p_max <= 1, got [{p_min}, {p_max}]"
         )
-    if not step > 0.0:  # also catches nan
-        raise ValidationError(f"step {step!r} must be positive")
+    if not 0.0 < step < math.inf:  # also catches nan
+        raise ValidationError(f"step {step!r} must be positive and finite")
     span = (p_max - p_min) / step
     if span >= SWEEP_MAX_POINTS - 0.5:  # also inf, which round() rejects
         raise ValidationError(f"step {step!r} asks for {span + 1.0:.6g} grid "
@@ -467,14 +517,13 @@ def sweep_grid(p_min, p_max, step):
 
 def sweep_families(p_grid, families=("ghz_tilde", "w_tilde")):
     """Closed-form reports for each family at each p, as (p, family, report)."""
-    rows = []
+    rows, p_grid = [], list(p_grid)  # read once per family and once for p
     for name in families:
         if name not in FAMILIES:
             raise ValidationError(f"unknown family {name!r}")
-    for name in families:
-        build = FAMILIES[name]
-        for p in p_grid:
-            rows.append((float(p), name, correlation_report(build(p))))
+    for name in families:  # one stacked pass per family
+        reports = _pure_reports(map(FAMILIES[name], p_grid))
+        rows += zip(map(float, p_grid), itertools.repeat(name), reports)
     return rows
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -23,7 +25,11 @@ from qcorr import (
 from qcorr.cli import main
 from qcorr.qstate import PureState
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 E_W_PAIR = 0.5500477595827576
+# sha256 of the stdout of sweep both 0 1 0.01 --format json, recorded while
+# every sweep report was still built on its own
+SWEEP_JSON_SHA256 = "4f69a681296c49aa6fde30e65d87081c17f0e5dd82aad52aed855e1b7fd7bb78"
 
 # discord2q --format json stdout on random_mixed_state(2, seed); compared with
 # ==, so any change in the searches' rounding shows
@@ -217,6 +223,18 @@ class TestSweep:
         assert lines[1].startswith("0.000000,ghz_tilde,")
         assert lines[6].startswith("0.000000,w_tilde,")
         assert err.startswith("discord crossover p* = 0.749")
+
+    def test_benchmark_sweep_bytes(self, capsys):
+        # the stdout that perfbench/reference/cli_oneshot.json holds for the
+        # benchmark's sweep command, read here and never written
+        ref = json.loads((ROOT / "perfbench" / "reference" / "cli_oneshot.json")
+                         .read_text(encoding="utf-8"))
+        summary = "discord crossover p* = 0.749336\n"
+        argv = ("sweep", "both", "0", "1", "0.01")
+        assert run_main(capsys, *argv) == (0, ref["fixed"]["sweep"], summary)
+        code, out, err = run_main(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, summary)
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_JSON_SHA256
 
     def test_no_crossover_message(self, capsys):
         code, _, err = run_main(capsys, "sweep", "both", "0", "0.5", "0.25")

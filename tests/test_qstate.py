@@ -24,7 +24,7 @@ from qcorr import (
     state_to_json,
     von_neumann_entropy,
 )
-from qcorr.qstate import EIG_CLIP, HERM_TOL
+from qcorr.qstate import EIG_CLIP, HERM_TOL, _checked_spectrum
 
 H13 = math.log2(3.0) - 2.0 / 3.0  # binary entropy of 1/3
 
@@ -240,6 +240,30 @@ def test_error_contract(monkeypatch, case, call, error, message, eigvalsh_calls)
             call()
         assert type(exc.value) is error and str(exc.value) == message
     assert len(calls) == eigvalsh_calls
+
+
+# one failing matrix of a 2 x 2 stack, and the message DensityMatrix gives for it
+STACK_CONTRACT = [
+    ("herm", _herm_off_by(1.1 * HERM_TOL), "hermiticity violated by 1.100e-10"),
+    ("trace", _trace_off_by(1.1 * HERM_TOL), "unit trace violated by 1.100e-10"),
+    ("eig", _least_eigenvalue(-1.1 * EIG_CLIP), "positivity violated: eigenvalue -1.100e-10"),
+    ("nan", _with_entry(1, 2, math.nan), "non-finite entry"),
+    ("overflowing trace", np.diag([1e308, 1e308, 0.0, 0.0]), "unit trace violated by inf"),
+]
+
+
+@pytest.mark.parametrize("case, bad, message", STACK_CONTRACT,
+                         ids=[case[0] for case in STACK_CONTRACT])
+def test_stack_check_names_the_failing_matrix(case, bad, message):
+    good = _trace_off_by(0.9 * HERM_TOL)
+    with pytest.raises(ValidationError) as exc:
+        DensityMatrix(bad)
+    assert str(exc.value) == message
+    with pytest.raises(ValidationError) as exc:
+        _checked_spectrum(np.array([[good, good], [bad, good]], dtype=complex))
+    assert str(exc.value) == message
+    stack = np.array([[good, good], [_least_eigenvalue(-0.9 * EIG_CLIP), good]])
+    assert _checked_spectrum(stack).shape == (2, 2, 4)
 
 
 class TestPartialTrace:

@@ -910,6 +910,46 @@ class TestGridScreen:
                          ("_two_angle_values", np.float64)]
 
 
+def stacked_pass_states():
+    """Haar samples, the product-cut branch, the family endpoints, a TIE_TOL
+    ordering and other labels, for the stacked pass against _report_pure."""
+    states = [haar_random_pure(3, seed) for seed in range(200)]
+    states += [ghz_state(), w_state(), PureState(np.eye(8)[0]), bell_with_spectator()]
+    states += [build(p) for build in (family_ghz_tilde, family_w_tilde) for p in (0.0, 1.0)]
+    # I(a:b) = I(a:c) lies 2.7e-15 below I(b:c), so TIE_TOL keeps a, b, c
+    states.append(acin_state(AcinForm(0.5, 0.5, 0.5, 0.5, 0.0)))
+    states.append(PureState(haar_random_pure(3, 9).amplitudes, ("z", "x", "y")))
+    return states
+
+
+class TestStackedPass:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        states = stacked_pass_states()
+        return states, [repr(tripartite._report_pure(psi).to_dict()) for psi in states]
+
+    @staticmethod
+    def stacked(states):
+        return [repr(rep.to_dict()) for rep in tripartite._pure_reports(states)]
+
+    def test_batch_of_one(self, cases):
+        states, scalar = cases
+        assert [self.stacked([psi])[0] for psi in states] == scalar
+
+    def test_one_batch_of_all(self, cases):
+        states, scalar = cases
+        assert self.stacked(states) == scalar
+
+    def test_one_state_past_a_block(self, cases):
+        states, scalar = cases
+        n = tripartite._STATE_BLOCK + 1
+        assert len(states) < n
+        assert self.stacked((states * 2)[:n]) == (scalar * 2)[:n]
+
+    def test_empty(self):
+        assert tripartite._pure_reports([]) == []
+
+
 class TestSweepAndCrossover:
     def test_sweep_shape_and_order(self):
         grid = [0.0, 0.5, 1.0]
@@ -918,6 +958,8 @@ class TestSweepAndCrossover:
         assert [r[1] for r in rows] == ["ghz_tilde"] * 3 + ["w_tilde"] * 3
         assert [r[0] for r in rows[:3]] == grid
         assert all(isinstance(r[2], CorrelationReport) for r in rows)
+        # a grid that can be iterated only once gives the same rows
+        assert sweep_families(iter(grid)) == rows
 
     def test_sweep_unknown_family(self):
         with pytest.raises(ValidationError):
@@ -941,6 +983,9 @@ class TestSweepAndCrossover:
             sweep_grid(0.0, 1.0, 0.0)
         with pytest.raises(ValidationError, match="step nan must be positive"):
             sweep_grid(0.0, 1.0, math.nan)
+        # 0 * inf would make the one grid point nan
+        with pytest.raises(ValidationError, match="step inf must be positive and finite"):
+            sweep_grid(0.0, 1.0, math.inf)
         with pytest.raises(ValidationError, match="p_min <= p_max"):
             sweep_grid(0.8, 0.2, 0.01)
 
