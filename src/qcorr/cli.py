@@ -261,10 +261,6 @@ def _verify_table(report) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise ValidationError(f"--samples {args.samples} must be >= 1")
-    if not 3 <= args.qubits <= 6:
-        raise ValidationError(f"--qubits {args.qubits} outside 3..6")
     if args.oracle and args.qubits != 3:
         raise ValidationError("--oracle requires --qubits 3")
     report = verify_mod.run_suite(args.samples, args.seed, args.qubits)

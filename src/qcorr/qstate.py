@@ -43,11 +43,18 @@ def _clamp_unit(x, what):
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x  # min(max(x, 0), 1), -0.0 kept
 
 
-def _nonnegative_seed(seed):
-    """seed itself, after a ValidationError if it is negative."""
-    if int(seed) < 0:
-        raise ValidationError(f"seed {seed!r} must be nonnegative")
-    return seed
+def _int_arg(value, what, lo, hi=math.inf):
+    """int(value) in lo..hi. Integral numbers pass, 3.0 and np.int64(3) too; a bool,
+    fraction, nan, inf, None, string or value out of range raises, naming what."""
+    try:
+        n = int(value)  # None, "x", nan and inf raise
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if (n is None or n != value or isinstance(value, (bool, np.bool_))  # int("3") != "3"
+            or not lo <= n <= hi):
+        bound = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise ValidationError(f"{what} {value!r} must be an integer {bound}")
+    return n
 
 
 def _label_list(labels):
@@ -319,19 +326,17 @@ def relative_entropy(rho, sigma) -> float:
 
 def haar_random_pure(n_qubits: int, seed: int) -> PureState:
     """Haar-distributed pure state from seeded standard complex Gaussians."""
-    if not 1 <= int(n_qubits) <= 6:
-        raise ValidationError(f"n_qubits {n_qubits!r} outside supported range 1..6")
-    rng = np.random.default_rng(_nonnegative_seed(seed))
-    d = 2 ** int(n_qubits)
+    d = 2 ** _int_arg(n_qubits, "n_qubits", 1, 6)
+    rng = np.random.default_rng(_int_arg(seed, "seed", 0))
     amp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(amp / np.linalg.norm(amp))
 
 
 def random_mixed_state(n_qubits: int, seed: int) -> DensityMatrix:
     """Convex mixture of two to four Haar-random pure states."""
-    rng = np.random.default_rng(_nonnegative_seed(seed))
+    d = 2 ** _int_arg(n_qubits, "n_qubits", 1, 6)
+    rng = np.random.default_rng(_int_arg(seed, "seed", 0))
     k = int(rng.integers(2, 5))
-    d = 2 ** int(n_qubits)
     weights = rng.random(k)
     weights /= weights.sum()
     m = np.zeros((d, d), dtype=complex)

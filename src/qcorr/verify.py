@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .qstate import (
     PureState,
-    _nonnegative_seed,
+    _int_arg,
     density_of,
     haar_random_pure,
     partial_trace,
@@ -144,7 +144,7 @@ class _Accumulator:
 
 def sub_seed(master_seed: int, index: int) -> int:
     """Counter-based split of the master seed; reproducible in isolation."""
-    ss = np.random.SeedSequence([int(_nonnegative_seed(master_seed)), int(index)])
+    ss = np.random.SeedSequence([_int_arg(master_seed, "seed", 0), _int_arg(index, "index", 0)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -313,13 +313,6 @@ def _evaluate_sample_n(psi: PureState) -> dict:
     }
 
 
-def _sample_count(n_samples):
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValidationError(f"n_samples {n_samples!r} < 1")
-    return n_samples
-
-
 def _run_samples(checks, margins_of, n_samples, seed, n_qubits, states):
     """Aggregate margins_of(psi, sub_seed) -> {check: margin} over the samples.
 
@@ -359,10 +352,8 @@ def run_suite(n_samples: int, seed: int, n_qubits: int = 3,
     the first len(states) samples (used to pin known states into the run).
     Deterministic for fixed arguments.
     """
-    n_samples = _sample_count(n_samples)
-    n_qubits = int(n_qubits)
-    if not 3 <= n_qubits <= 6:
-        raise ValidationError(f"n_qubits {n_qubits!r} outside 3..6")
+    n_samples = _int_arg(n_samples, "n_samples", 1)
+    n_qubits = _int_arg(n_qubits, "n_qubits", 3, 6)
     if n_qubits == 3:
         return _run_samples(THREE_QUBIT_CHECKS,
                             lambda psi, s: evaluate_sample(psi, s)["margins"],
@@ -380,7 +371,7 @@ def oracle_crosscheck(n_samples: int, seed: int, states=None) -> ViolationReport
     closed forms; a gap above 1e-3 counts as a violation.
     """
     def margins_of(psi, _):
-        s1, pair_rho, pair_i = _entropies_and_pairs(density_of(psi))
+        s1, pair_rho, pair_i, _ = _entropies_and_pairs(density_of(psi))
         closed = _kw_table(s1, _pair_eofs(pair_rho))
         worst_j = 0.0
         worst_d = 0.0
@@ -398,6 +389,6 @@ def oracle_crosscheck(n_samples: int, seed: int, states=None) -> ViolationReport
         return {"oracle_classical": worst_j, "oracle_discord": worst_d,
                 "optimizer_beats_closed_form": worst_beat}
 
-    return _run_samples(ORACLE_CHECKS, margins_of, _sample_count(n_samples),
+    return _run_samples(ORACLE_CHECKS, margins_of, _int_arg(n_samples, "n_samples", 1),
                         seed, 3, states)
 

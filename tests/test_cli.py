@@ -346,7 +346,7 @@ class TestVerify:
                                   "--seed", "-1")
         assert code == 1
         assert out == ""
-        assert err == "qcorr: seed -1 must be nonnegative\n"
+        assert err == "qcorr: seed -1 must be an integer >= 0\n"
 
     def test_clean_run_table(self, capsys):
         code, out, err = run_main(capsys, "verify", "--samples", "30",
@@ -401,11 +401,13 @@ class TestVerify:
                          "genuine_total_n_nonnegative", "numerics"]
 
     def test_flag_validation(self, capsys):
+        # the library's integer rule, reached through the flags
         code, _, err = run_main(capsys, "verify", "--samples", "0")
         assert code == 1
-        assert "--samples" in err
+        assert err == "qcorr: n_samples 0 must be an integer >= 1\n"
         code, _, err = run_main(capsys, "verify", "--qubits", "7")
         assert code == 1
+        assert err == "qcorr: n_qubits 7 must be an integer in 3..6\n"
         code, _, err = run_main(capsys, "verify", "--qubits", "4", "--oracle")
         assert code == 1
         assert "--oracle requires --qubits 3" in err

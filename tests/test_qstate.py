@@ -13,15 +13,19 @@ from qcorr import (
     binary_entropy,
     density_of,
     eig_hermitian,
+    ghz_state,
     haar_random_pure,
     load_state,
+    oracle_crosscheck,
     parse_matrix_json,
     parse_state_json,
     partial_trace,
     permute_parties,
     random_mixed_state,
     relative_entropy,
+    run_suite,
     state_to_json,
+    sub_seed,
     von_neumann_entropy,
 )
 from qcorr.qstate import EIG_CLIP, HERM_TOL, _checked_spectrum
@@ -460,7 +464,7 @@ class TestSampling:
 
     def test_negative_seed_is_a_validation_error(self):
         for make in (haar_random_pure, random_mixed_state):
-            with pytest.raises(ValidationError, match="seed -1 must be nonnegative"):
+            with pytest.raises(ValidationError, match="seed -1 must be an integer >= 0"):
                 make(3, -1)
 
     def test_random_mixed_is_valid_and_mixed(self):
@@ -469,6 +473,68 @@ class TestSampling:
         assert von_neumann_entropy(rho) > 0.1
         rho2 = random_mixed_state(3, 7)
         np.testing.assert_array_equal(rho.matrix, rho2.matrix)
+
+
+# every integer argument of the library: the call with that argument set to
+# v, the name its message gives it, and its range lo..hi (hi None: no bound)
+INTEGER_ARGUMENTS = [
+    ("haar_random_pure n_qubits", lambda v: haar_random_pure(v, 0), "n_qubits", 1, 6),
+    ("haar_random_pure seed", lambda v: haar_random_pure(3, v), "seed", 0, None),
+    ("random_mixed_state n_qubits", lambda v: random_mixed_state(v, 0), "n_qubits", 1, 6),
+    ("random_mixed_state seed", lambda v: random_mixed_state(3, v), "seed", 0, None),
+    ("ghz_state n_qubits", lambda v: ghz_state(v), "n_qubits", 2, 6),
+    ("run_suite n_samples", lambda v: run_suite(v, 0), "n_samples", 1, None),
+    ("run_suite seed", lambda v: run_suite(1, v), "seed", 0, None),
+    ("run_suite n_qubits", lambda v: run_suite(1, 0, v), "n_qubits", 3, 6),
+    ("oracle_crosscheck n_samples", lambda v: oracle_crosscheck(v, 0), "n_samples", 1, None),
+    ("oracle_crosscheck seed", lambda v: oracle_crosscheck(1, v), "seed", 0, None),
+    ("sub_seed master seed", lambda v: sub_seed(v, 0), "seed", 0, None),
+    ("sub_seed index", lambda v: sub_seed(0, v), "index", 0, None),
+]
+INVALID_INTEGERS = [
+    ("bool", lambda lo, hi: True),
+    ("fraction", lambda lo, hi: lo + 0.5),
+    ("nan", lambda lo, hi: math.nan),
+    ("inf", lambda lo, hi: math.inf),
+    ("None", lambda lo, hi: None),
+    ("str", lambda lo, hi: "3"),
+    ("below", lambda lo, hi: lo - 1),
+    ("above", lambda lo, hi: hi + 1),
+]
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("an array was allocated before the integer check")
+
+
+INTEGER_CONTRACT = [(*argument, kind, make(argument[3], argument[4]))
+                    for argument in INTEGER_ARGUMENTS for kind, make in INVALID_INTEGERS
+                    if not (kind == "above" and argument[4] is None)]
+
+
+@pytest.mark.parametrize("case, call, name, lo, hi, kind, value", INTEGER_CONTRACT,
+                         ids=[f"{case[0]}-{case[5]}" for case in INTEGER_CONTRACT])
+def test_integer_argument_contract(monkeypatch, case, call, name, lo, hi, kind, value):
+    # the first allocation of each entry point: its rng, its seed
+    # sequence, or ghz_state's amplitudes
+    for owner, attr in ((np.random, "default_rng"), (np.random, "SeedSequence"), (np, "zeros")):
+        monkeypatch.setattr(owner, attr, _no_allocation)
+    with pytest.raises(ValidationError) as exc:
+        call(value)
+    bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    assert str(exc.value) == f"{name} {value!r} must be an integer {bound}"
+
+
+def test_integral_values_of_any_type_pass():
+    reference = haar_random_pure(3, 5).amplitudes
+    for n, seed in ((np.int64(3), np.uint64(5)), (3.0, 5.0), (np.float64(3.0), np.int32(5))):
+        np.testing.assert_array_equal(haar_random_pure(n, seed).amplitudes, reference)
+    np.testing.assert_array_equal(random_mixed_state(np.int64(3), 7.0).matrix,
+                                  random_mixed_state(3, 7).matrix)
+    np.testing.assert_array_equal(ghz_state(4.0).amplitudes, ghz_state(4).amplitudes)
+    assert sub_seed(np.int64(42), 7.0) == sub_seed(42, 7)
+    assert run_suite(2.0, np.int64(1), np.int8(3)).to_dict() == run_suite(2, 1).to_dict()
+    assert oracle_crosscheck(np.int64(1), 2.0).to_dict() == oracle_crosscheck(1, 2).to_dict()
 
 
 class TestStateSerialization:

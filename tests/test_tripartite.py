@@ -965,6 +965,11 @@ class TestSweepAndCrossover:
         with pytest.raises(ValidationError):
             sweep_families([0.5], families=("ghz_tilde", "nope"))
 
+    def test_sweep_families_given_one_name_as_a_str(self):
+        # a str is a sequence of its letters, which are no family names
+        with pytest.raises(ValidationError, match="families 'ghz_tilde' must be a sequence"):
+            sweep_families([0.5], "ghz_tilde")
+
     def test_crossover_location(self):
         star = find_discord_crossover(sweep_families(sweep_grid(0, 1, 0.01)))
         assert star is not None

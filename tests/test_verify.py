@@ -75,7 +75,7 @@ class TestSubSeed:
     def test_negative_master_seed(self):
         for call in (lambda: sub_seed(-1, 0), lambda: run_suite(2, -1),
                      lambda: run_suite(2, -1, 4), lambda: oracle_crosscheck(1, -1)):
-            with pytest.raises(ValidationError, match="seed -1 must be nonnegative"):
+            with pytest.raises(ValidationError, match="seed -1 must be an integer >= 0"):
                 call()
 
 
