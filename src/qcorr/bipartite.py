@@ -2,14 +2,10 @@
 
 Concurrence, entanglement of formation, mutual information, and the
 directional/symmetrized classical correlation and discord, where the
-measured party is scanned over rank-1 projective bases on a Bloch-angle
-grid and refined with a simplex optimizer. Closed forms for reductions of
-pure three-qubit states are provided for cross-checking the optimizer.
-
-The simplex is _simplex, an in-repo port of scipy's Nelder-Mead, so no
-search imports scipy. Only when a caller has already imported
-scipy.optimize does _nelder_mead go through its minimize, where a tracer
-that patches minimize counts the searches; both routes give the same bits.
+measured party's projective basis comes from a descent over the Bloch
+sphere started at the best point of a small grid. Closed forms for
+reductions of pure three-qubit states are provided for cross-checking the
+optimizer. No search imports scipy.
 """
 
 from __future__ import annotations
@@ -38,10 +34,10 @@ from .qstate import (
     von_neumann_entropy,
 )
 
-GRID_DEFAULT = (60, 120)
 REFINE_ITERS_DEFAULT = 200
 REFINE_TOL_DEFAULT = 1e-10
 TIE_TOL = 1e-10
+_DESCENT_OPTIONS = {"maxiter": 200, "tol": 1e-15}
 
 _SY = np.array([[0.0, -1.0], [1.0, 0.0]])  # i*sigma_y, real
 # sigma_y (x) sigma_y up to a global sign squared away; complex, as matmul casts it
@@ -240,30 +236,68 @@ def _bloch_xyz(theta, phi):
     return s * math.cos(phi), s * math.sin(phi), math.cos(theta)
 
 
-def _one_angle_objective(r):
-    """f(x): S(other | measured along Bloch angles x), from the 4x4 tensor r.
+def _outcome_slope(w0, w1, w2, w3):
+    """(f, f0, c1, c2, n): f = _outcome_entropy(w0, w1, w2, w3, 0.5) and its derivatives.
 
-    Outcome a = +-1 along the Bloch vector u leaves the other party with
-    R_0 + a (u_x R_1 + u_y R_2 + u_z R_3), R_mu the rows of r.
+    f = w0 phi(n / w0), n = |(w1, w2, w3)| and phi(x) = h((1 + x) / 2) / 2,
+    has slopes f0 and c1 w_k and the Hessian c2 v v^T + c1 (diag(0, 1, 1, 1)
+    - q q^T), q = (0, w1, w2, w3) / n, v = q - (n / w0, 0, 0, 0). A pure
+    outcome takes those at the largest double below 1, where h' is finite.
+    """
+    p = 0.5 * w0
+    if not p > 1e-12:
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    n = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
+    lam = (1.0 + n / w0) * 0.5
+    if lam < 1.0:  # and lam >= 1/2, since w0 > 0
+        l1, l0 = math.log2(lam), math.log2(1.0 - lam)
+        h = -lam * l1 - (1.0 - lam) * l0
+    else:
+        _clamp_unit(min(lam, 1.0), "binary entropy argument")
+        lam, l1, l0, h = 1.0 - 2.0 ** -53, 0.0, -53.0, 0.0
+    s = 0.25 * (l0 - l1)  # phi'
+    c2 = -0.18033688011112042 / (lam * (1.0 - lam) * w0)  # phi'' / w0 = h'' / (8 w0)
+    return p * h, 0.5 * h - s * n / w0, s / n if n > 0.0 else c2, c2, n
+
+
+def _one_angle_objective(r):
+    """fun(u, hessian=False): f, grad f [and the 3 x 3 Hessian] at the Bloch vector u.
+
+    f = S(other | measured along u) from the 4x4 tensor r, whose rows R_mu
+    give outcome +-1 the state w = R_0 +- R^T u. f is concave over the unit
+    ball: p S(sigma / p) = -D(sigma || Tr sigma I) is, by the joint
+    convexity of relative entropy (Lindblad, CMP 39, 111, 1974).
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = r.tolist()
+    rt = ((b1, b2, b3), (c1, c2, c3), (d1, d2, d3))
+    gram = [[x * y + x2 * y2 + x3 * y3 for y, y2, y3 in rt] for x, x2, x3 in rt]
 
-    def entropy(x):
-        ux, uy, uz = _bloch_xyz(x[0], x[1])
+    def entropy(u, hessian=False):
+        ux, uy, uz = u
         e0 = ux * b0 + uy * c0 + uz * d0
         e1 = ux * b1 + uy * c1 + uz * d1
         e2 = ux * b2 + uy * c2 + uz * d2
         e3 = ux * b3 + uy * c3 + uz * d3
-        return (_outcome_entropy(a0 + e0, a1 + e1, a2 + e2, a3 + e3, 0.5)
-                + _outcome_entropy(a0 - e0, a1 - e1, a2 - e2, a3 - e3, 0.5))
+        fp, p0, pk, p2, pn = _outcome_slope(a0 + e0, a1 + e1, a2 + e2, a3 + e3)
+        fm, m0, mk, m2, mn = _outcome_slope(a0 - e0, a1 - e1, a2 - e2, a3 - e3)
+        q0, q1 = p0 - m0, pk * (a1 + e1) - mk * (a1 - e1)
+        q2, q3 = pk * (a2 + e2) - mk * (a2 - e2), pk * (a3 + e3) - mk * (a3 - e3)
+        grad = (b0 * q0 + b1 * q1 + b2 * q2 + b3 * q3,
+                c0 * q0 + c1 * q1 + c2 * q2 + c3 * q3,
+                d0 * q0 + d1 * q1 + d2 * q2 + d3 * q3)
+        if not hessian:
+            return fp + fm, grad
+        hess = [[(pk + mk) * g for g in row] for row in gram]
+        for sign, k1, k2, n in ((1.0, pk, p2, pn), (-1.0, mk, m2, mn)):
+            if n > 0.0:  # q and v of _outcome_slope, taken through R
+                w = (a1 + sign * e1) / n, (a2 + sign * e2) / n, (a3 + sign * e3) / n
+                q = [x * w[0] + y * w[1] + z * w[2] for x, y, z in rt]
+                v = [qi - n / (a0 + sign * e0) * x0 for qi, x0 in zip(q, (b0, c0, d0))]
+                hess = [[h + k2 * vi * vj - k1 * qi * qj for h, vj, qj in zip(row, v, q)]
+                        for row, vi, qi in zip(hess, v, q)]
+        return fp + fm, grad, hess
 
     return entropy
-
-
-def _one_angle_values(r, rows):
-    """_one_angle_objective at each Bloch vector of the outcome rows, vectorized."""
-    h = _outcome_entropies(r.T @ rows.T, 0.5)
-    return h[0::2] + h[1::2]
 
 
 def conditional_entropy_measured(
@@ -279,7 +313,7 @@ def conditional_entropy_measured(
         measured_party = rho_ab.parties[1]
     slot = _party_slot(rho_ab, measured_party)
     r = _pauli_tensor(rho_ab.matrix, [slot, 1 - slot])
-    return _one_angle_objective(r)((basis.theta, basis.phi))
+    return _one_angle_objective(r)(_bloch_xyz(basis.theta, basis.phi))[0]
 
 
 def _party_slot(rho, party):
@@ -323,23 +357,12 @@ def _hemisphere(n_theta, n_phi):
     return th, ph, rows
 
 
-_Simplex = namedtuple("_Simplex", "x fun nit nfev success")
+_Run = namedtuple("_Run", "x fun nit nfev success")
 
 
 def _argsort(fsim):
-    """np.argsort(fsim).tolist(), by sorted() when no two values tie and none is NaN.
-
-    Distinct values have one ascending order, which any correct sort finds.
-    Ties, 0.0 against -0.0 included, keep np.argsort, whose tie order a
-    stable sort does not reproduce; so does NaN. A strictly increasing
-    sorted() result rules all three out, since every comparison with NaN is
-    false.
-    """
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    for i, j in zip(order, order[1:]):
-        if not fsim[i] < fsim[j]:
-            return np.argsort(fsim).tolist()
-    return order
+    """np.argsort(fsim).tolist(), the reorder scipy's Nelder-Mead makes."""
+    return np.array(fsim).argsort().tolist()
 
 
 def _place_last(sim, fsim):
@@ -360,11 +383,10 @@ def _place_last(sim, fsim):
 
 
 def _simplex(fun, x0, *, maxiter, xatol, fatol, **_scipy_fixed):
-    """scipy 1.17's Nelder-Mead (non-adaptive, maxfev unset) on plain floats, bit for bit.
+    """scipy 1.17's Nelder-Mead (non-adaptive, maxfev unset) on four plain floats, bit for bit.
 
-    Builds and sorts scipy's start simplex, then runs the straight-line
-    kernel for the two sizes the searches use: two angles or four.
-    _scipy_fixed takes the keywords minimize adds (jac, callback, ...).
+    Vertices are tuples of floats, the centroid a left fold, never sum()
+    (README "Measurement search"); _scipy_fixed takes minimize's keywords.
     """
     x0 = tuple(float(v) for v in x0)
     sim = [x0] + [x0[:k] + ((1 + 0.05) * v if v != 0 else 0.00025,) + x0[k + 1:]
@@ -373,72 +395,6 @@ def _simplex(fun, x0, *, maxiter, xatol, fatol, **_scipy_fixed):
     for _ in range(2):  # scipy sorts twice before the first step
         order = _argsort(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    kernel = {2: _simplex_2, 4: _simplex_4}[len(x0)]
-    x, f, nit, nfev = kernel(fun, sim, fsim, maxiter, xatol, fatol)
-    return _Simplex(list(x), f, nit, nfev, nit < maxiter)
-
-
-# The kernels run scipy's loop from the sorted start simplex, with the n = 2
-# or n = 4 coordinates of each vertex written out as a tuple of floats.
-# scipy's coefficients rho = 1, chi = 2, psi = sigma = 0.5 appear as the
-# exact products it forms: reflection 2 c - 1 w, expansion 3 c - 2 w,
-# outside contraction 1.5 c - 0.5 w, inside contraction 0.5 c + 0.5 w,
-# shrink b + 0.5 (v - b); 1 w is w exactly. The centroid c is the left fold
-# of numpy's row by row reduction divided by n, never sum(), which
-# compensates its rounding from Python 3.12. The stop test reads the values
-# before the vertices; neither has side effects. After each step
-# _place_last keeps an order only when it is the ascending one, and _argsort
-# reorders otherwise, as scipy's np.argsort would. Each returns (best
-# vertex, its value, nit, nfev), nfev counting the start simplex.
-
-
-def _simplex_2(fun, sim, fsim, maxiter, xatol, fatol):
-    nfev, nit = 3, 1
-    while nit < maxiter:
-        (b0, b1), (p0, p1), (w0, w1) = sim
-        fb, fp, fw = fsim
-        if (abs(fb - fp) <= fatol and abs(fb - fw) <= fatol
-                and abs(p0 - b0) <= xatol and abs(p1 - b1) <= xatol
-                and abs(w0 - b0) <= xatol and abs(w1 - b1) <= xatol):
-            break
-        c0 = (b0 + p0) / 2
-        c1 = (b1 + p1) / 2
-        xr = (2 * c0 - w0, 2 * c1 - w1)
-        fr = fun(xr)
-        nfev += 1
-        if fr < fb:
-            xe = (3 * c0 - 2 * w0, 3 * c1 - 2 * w1)
-            fe = fun(xe)
-            nfev += 1
-            sim[2], fsim[2] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fp:
-            sim[2], fsim[2] = xr, fr
-        else:
-            if fr < fw:  # outside contraction, kept unless worse than xr
-                xc = (1.5 * c0 - 0.5 * w0, 1.5 * c1 - 0.5 * w1)
-                fc = fun(xc)
-                keep = fc <= fr
-            else:  # inside contraction, kept if better than the worst vertex
-                xc = (0.5 * c0 + 0.5 * w0, 0.5 * c1 + 0.5 * w1)
-                fc = fun(xc)
-                keep = fc < fw
-            nfev += 1
-            if keep:
-                sim[2], fsim[2] = xc, fc
-            else:  # shrink toward the best vertex
-                sim[1] = (b0 + 0.5 * (p0 - b0), b1 + 0.5 * (p1 - b1))
-                sim[2] = (b0 + 0.5 * (w0 - b0), b1 + 0.5 * (w1 - b1))
-                fsim[1] = fun(sim[1])
-                fsim[2] = fun(sim[2])
-                nfev += 2
-        nit += 1
-        if not _place_last(sim, fsim):
-            order = _argsort(fsim)
-            sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    return sim[0], fsim[0], nit, nfev
-
-
-def _simplex_4(fun, sim, fsim, maxiter, xatol, fatol):
     nfev, nit = 5, 1
     while nit < maxiter:
         (b0, b1, b2, b3), (p0, p1, p2, p3), (q0, q1, q2, q3), (s0, s1, s2, s3), \
@@ -501,41 +457,90 @@ def _simplex_4(fun, sim, fsim, maxiter, xatol, fatol):
         if not _place_last(sim, fsim):
             order = _argsort(fsim)
             sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    return sim[0], fsim[0], nit, nfev
+    return _Run(list(sim[0]), fsim[0], nit, nfev, nit < maxiter)
 
 
 _REFINE_OPTIONS = {"maxiter": REFINE_ITERS_DEFAULT, "xatol": REFINE_TOL_DEFAULT,
                    "fatol": REFINE_TOL_DEFAULT}
 
 
-def _nelder_mead(objective, x0):
-    """_simplex from x0 with tolerances 1e-10, never importing scipy.
+def _minimize(method, fun, x0, options):
+    """method(fun, x0, **options), through scipy.optimize.minimize only when already loaded.
 
-    When scipy.optimize is already loaded the run goes through its
-    minimize, the hook where a tracer that patched minimize counts
-    searches. For a callable method minimize only makes x0 a float64 array,
-    and _simplex takes float() of each coordinate, so both routes give the
-    same bits.
+    There a tracer that patched minimize counts searches; minimize only
+    makes x0 a float64 array, so both routes give the same bits.
     """
     optimize = sys.modules.get("scipy.optimize")
     if optimize is None:
-        return _simplex(objective, x0, **_REFINE_OPTIONS)
-    return optimize.minimize(objective, x0, method=_simplex, options=_REFINE_OPTIONS)
+        return method(fun, x0, **options)
+    return optimize.minimize(fun, x0, method=method, options=options)
 
 
-def _search(objective, values, th, ph):
-    """Grid minimum of objective refined by Nelder-Mead; returns (value, angles).
+def _nelder_mead(objective, x0):
+    """_simplex from x0 with tolerances 1e-10, through _minimize."""
+    return _minimize(_simplex, objective, x0, _REFINE_OPTIONS)
 
-    values holds objective on the grid th, ph, one axis per measured party.
-    The simplex starts from the first point within TIE_TOL of the grid
-    minimum, which on the theta-major grid is the lexicographically smallest
-    among ties, and its result replaces that point only when it is lower by
-    more than TIE_TOL.
+
+def _sphere_descent(fun, x0, *, maxiter, tol, **_scipy_fixed):
+    """Minimize a concave f over unit vectors from x0; fun(u, True) gives f, grad f, H at u.
+
+    Each move goes to the first of these that lowers f by more than tol: the
+    Newton point on the sphere at full, 1/4 and 1/16 step, and s = -grad f /
+    |grad f|, which never raises f, as concavity gives f(s) <= f(u) +
+    grad f . (s - u) <= f(u), but crawls where f is flat. The Newton step,
+    at most 1 long, solves |M| d = -P grad f for the Hessian on the sphere
+    M = P H P - (grad f . u) P with absolute eigenvalues, so as to head
+    downhill beside a saddle. success is False after maxiter moves.
     """
-    first = int(np.flatnonzero(values <= values.min() + TIE_TOL)[0])
-    point = np.unravel_index(first, values.shape)
-    x0 = [float(a[i]) for i in point for a in (th, ph)]
-    g_value = float(values[point])
+    u = tuple(float(v) for v in x0)
+    f, g, hess = fun(u, True)
+    nit = nfev = 0
+    while nit < maxiter:
+        norm = math.sqrt(_dot(g, g))
+        if not 0.0 < norm < math.inf:
+            break
+        # Frisvad's orthonormal basis of the plane orthogonal to u, from u or -u
+        px, py, pz = u if u[2] >= 0.0 else (-u[0], -u[1], -u[2])
+        k = -px * py / (1.0 + pz)
+        e1, e2 = (1.0 - px * px / (1.0 + pz), k, -px), (k, 1.0 - py * py / (1.0 + pz), -py)
+        he1, he2 = ([_dot(row, e) for row in hess] for e in (e1, e2))
+        gu, b1, b2 = _dot(g, u), _dot(g, e1), _dot(g, e2)
+        m11, m12, m22 = _dot(e1, he1) - gu, _dot(e1, he2), _dot(e2, he2) - gu
+        det = abs(m11 * m22 - m12 * m12)  # = det |M|, |M| = (M^2 + det) / sqrt(tr M^2 + 2 det)
+        scale = math.sqrt(m11 * m11 + m22 * m22 + 2.0 * (m12 * m12 + det)) * det
+        tries = []
+        if 0.0 < scale < math.inf:
+            d1 = (m12 * (m11 + m22) * b2 - (m12 * m12 + m22 * m22 + det) * b1) / scale
+            d2 = (m12 * (m11 + m22) * b1 - (m11 * m11 + m12 * m12 + det) * b2) / scale
+            step = [d1 * p + d2 * q for p, q in zip(e1, e2)]
+            t = 1.0 / max(1.0, math.sqrt(_dot(step, step)))
+            tries = [[v + c * t * d for v, d in zip(u, step)] for c in (1.0, 0.25, 0.0625)]
+        for x in tries + [[-c / norm for c in g]]:
+            n = math.sqrt(_dot(x, x))
+            x = (x[0] / n, x[1] / n, x[2] / n)
+            nfev += 1
+            if fun(x)[0] < f - tol:  # the Hessian only where the run moves
+                u, (f, g, hess), nit, nfev = x, fun(x, True), nit + 1, nfev + 1
+                break
+        else:
+            break
+    return _Run(list(u), f, nit, nfev + 1, nit < maxiter)
+
+
+def _dot(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _search(objective, keep, values, th, ph):
+    """Two-party grid minimum refined by Nelder-Mead; returns (value, angles).
+
+    values[i, j] holds objective at grid points keep[i] (ascending) and j.
+    Nelder-Mead starts from the first point within TIE_TOL of the minimum
+    and replaces it only when lower by more than TIE_TOL.
+    """
+    i, j = divmod(int(np.flatnonzero(values <= values.min() + TIE_TOL)[0]), values.shape[1])
+    x0 = [float(th[keep[i]]), float(ph[keep[i]]), float(th[j]), float(ph[j])]
+    g_value = float(values[i, j])
     res = _nelder_mead(objective, x0)
     if res.fun < g_value - TIE_TOL:
         return float(res.fun), [float(x) for x in res.x]
@@ -543,22 +548,30 @@ def _search(objective, values, th, ph):
 
 
 def _min_conditional_entropy(rho, slot):
-    """Hemisphere grid scan plus simplex refinement; returns (value, basis)."""
-    th, ph, rows = _hemisphere(*GRID_DEFAULT)
-    r = _pauli_tensor(rho.matrix, [slot, 1 - slot])
-    value, (theta, phi) = _search(_one_angle_objective(r), _one_angle_values(r, rows),
-                                  th, ph)
-    return value, MeasurementBasis(*_normalize_angles(theta, phi))
+    """Least S(other | measured) over projective measurements of slot; returns (value, basis).
+
+    _sphere_descent, tol 1e-15, from the first of the 25 hemisphere points of
+    the 7 x 8 grid within TIE_TOL of their minimum; the value is f at the basis.
+    """
+    fun = _one_angle_objective(_pauli_tensor(rho.matrix, [slot, 1 - slot]))
+    starts = _hemisphere(7, 8)[2][0::2, 1:].tolist()
+    values = np.array([fun(u)[0] for u in starts])
+    u0 = starts[int(np.flatnonzero(values <= values.min() + TIE_TOL)[0])]
+    x, y, z = _minimize(_sphere_descent, fun, u0, _DESCENT_OPTIONS).x
+    if z < 0.0:  # -u is the same measurement, its outcomes swapped
+        x, y, z = -x, -y, -z
+    basis = MeasurementBasis(*_normalize_angles(math.atan2(math.hypot(x, y), z),
+                                                math.atan2(y, x)))
+    return fun(_bloch_xyz(basis.theta, basis.phi))[0], basis
 
 
 def classical_correlation_directional(rho_ab: DensityMatrix,
                                       measured_party=None) -> DirectionalResult:
     """J_{other:measured} = S(rho_other) - min over bases of S(other|measured).
 
-    Maximizes over rank-1 projective measurements on measured_party with the
-    hemisphere of a 60 x 120 theta x phi grid followed by Nelder-Mead
-    refinement. Ties within 1e-10 resolve to the lexicographically smallest
-    (theta, phi) grid point.
+    Maximizes over rank-1 projective measurements on measured_party by a
+    descent over the Bloch sphere from the best of 25 grid points, the first
+    among ties within 1e-10, where a flat landscape such as Werner's stays.
     """
     _require_parties(rho_ab, 2, "classical_correlation_directional")
     if measured_party is None:

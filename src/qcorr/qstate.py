@@ -354,10 +354,18 @@ def _decode_json(text):
         raise ParseError(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
 
 
+def _leaves(raw):
+    return [y for x in raw for y in _leaves(x)] if isinstance(raw, list) else [raw]
+
+
 def _float_array(raw, what):
+    # numpy reads "1" and true as numbers; null becomes nan, rejected below
+    for x in _leaves(raw):
+        if x is not None and type(x) not in (int, float):
+            raise ValidationError(f"non-numeric {what} entry {x!r}")
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"non-numeric {what} entry: {exc}") from exc
     # json reads NaN and Infinity, and numpy turns null into nan
     if not np.isfinite(arr).all():

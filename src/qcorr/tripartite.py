@@ -708,46 +708,24 @@ def _screen_rows(screen):
     return np.flatnonzero(~(row_min > row_min.min() + SCREEN_MARGIN))
 
 
-def _screened_values(r, rows):
-    """The two-angle grid, exact in the rows that _screen_rows keeps, +inf in the rest."""
-    n = len(rows) // 2
-    # the screen is freed before the float64 grid exists, to lower the peak memory
-    keep = _screen_rows(_two_angle_screen(r, rows))
-    values = np.full((n, n), np.inf)
-    values[keep] = _two_angle_values(r, rows, keep)
-    return values
-
-
 def min_double_conditional_entropy(rho, k) -> float:
     """Minimum of the double conditional entropy over product measurements.
 
     Each measured party is scanned over the upper half of a 30 x 30
     Bloch-angle grid (421 points), which holds every measurement of the
     full grid once up to an outcome swap, and Nelder-Mead refines the grid
-    minimum as in the one-party search. For pure global states every
-    product measurement already yields zero.
+    minimum (bipartite._search). For pure global states every product
+    measurement already yields zero.
 
-    The 421 x 421 grid is first filled in float32 (_two_angle_screen, whose
-    planes come from a BLAS matrix product), and only the u rows whose
-    float32 minimum lies within SCREEN_MARGIN of the float32 grid minimum
-    are filled again in float64; the others read +inf. Each float64 row is
-    byte for byte the row of the dense float64 grid, so the search sees the
-    same minimum, start point and start value. Why: let E bound the
-    float32 error of every cell, whatever order the product sums its four
-    terms in. A cell within TIE_TOL of the exact minimum m has float32
-    value at most m + TIE_TOL + E, and the float32 minimum is at least
-    m - E, so its row is kept whenever SCREEN_MARGIN >= 2 E + TIE_TOL. The
-    only ill-conditioned term is (1 - lam) log2(1 - lam) as lam -> 1: an
-    error of about 1.2e-7 in lam moves it by about 1.2e-7 * log2(1 / 1.2e-7),
-    some 3e-6. The largest error measured was 1.3e-6 over random mixed
-    states and 2.8e-6 on near-pure and degenerate mixtures, so 2 E + TIE_TOL
-    stays over 15 times below SCREEN_MARGIN. A flat landscape, such as that
-    of I/8, keeps every row and pays for the float32 pass on top of the
-    float64 one.
+    The grid is first filled in float32 (_two_angle_screen), and only the u
+    rows whose float32 minimum lies within SCREEN_MARGIN of the float32 grid
+    minimum are filled again in float64 and scanned, which gives the dense
+    float64 grid's start: see README "Measurement search".
     """
     r = _measured_tensor(rho, k, "min_double_conditional_entropy")
     th, ph, rows = _hemisphere(DOUBLE_GRID_DEFAULT, DOUBLE_GRID_DEFAULT)
-    return _search(_two_angle_objective(r), _screened_values(r, rows), th, ph)[0]
+    keep = _screen_rows(_two_angle_screen(r, rows))  # freed before the float64 rows exist
+    return _search(_two_angle_objective(r), keep, _two_angle_values(r, rows, keep), th, ph)[0]
 
 
 def total_classical_mixed(rho) -> float:

@@ -366,7 +366,7 @@ def oracle_crosscheck(n_samples: int, seed: int, states=None) -> ViolationReport
     """Optimizer-vs-closed-form comparison on every two-qubit reduction.
 
     For each sampled pure three-qubit state and each ordered party pair,
-    the grid-plus-refinement optimizer values of the directional classical
+    the measurement-search values of the directional classical
     correlation and discord are compared with the conditional-entropy
     closed forms; a gap above 1e-3 counts as a violation.
     """

@@ -47,17 +47,17 @@ E_W_PAIR = 0.5500477595827576
 # path.
 DIRECTIONAL_REPR = {
     ("mixed5", "a"): (
-        "0.28955791831643796", "0.5811568014551227", "4.584303958012634"),
+        "0.28955791831643773", "0.5811567974247958", "4.584303948208653"),
     ("mixed5", "b"): (
-        "0.3138231198230954", "1.4334209195209098", "5.663341686495459"),
+        "0.3138231198230953", "1.433420918174244", "5.66334170924544"),
     ("mixed100", "b"): (
-        "0.060986357282875825", "0.5859550135928417", "3.0010922499617654"),
+        "0.0609863572828756", "0.5859549779812361", "3.001092324919948"),
     ("mixed100", "c"): (
-        "0.06342555536524175", "1.3109681394895807", "0.407338439196531"),
+        "0.06342555536524153", "1.310968171461216", "0.40733843871779163"),
     ("pure7", "a"): (
-        "0.21907268990608675", "0.9623414262188692", "5.226544320360343"),
+        "0.21907268990608675", "0.9623414770148774", "5.226544266374361"),
     ("pure7", "c"): (
-        "0.17854146212602692", "1.4911836077021756", "6.230600332908976"),
+        "0.17854146212602623", "1.4911835669848483", "6.23060031196368"),
 }
 
 # repr of classical_correlation_directional(werner(0.8)).value
@@ -69,42 +69,42 @@ WERNER_08_REPR = "0.531004406410719"
 # recorded when symmetrized_discord took the minimum of the two directional
 # discords instead of subtracting the symmetrized classical correlation
 SYMMETRIZED_REPR = {
-    0: ('0.15630246003837978', '0.19327291943649105',
-        ('0.19327291943649105', '0.6074217748963613', '1.4101291625763106'),
-        ('0.20575688138466863', '1.3652568961730336', '4.835251304063334')),
-    1: ('0.5485671308684615', '0.21120055277145378',
-        ('0.22972425905181182', '0.8584528902761137', '1.3754261152895144'),
-        ('0.21120055277145378', '1.2396264760161562', '6.092921449230069')),
-    2: ('0.3433785366525455', '0.10611603090508526',
-        ('0.10949272746035843', '1.2091981005930341', '0.8273110001003399'),
-        ('0.10611603090508526', '1.2233850288283543', '2.7857746742493084')),
-    3: ('0.2324907367552388', '0.05061504320429655',
-        ('0.09329859545958197', '0.8368563957926385', '2.206499866479055'),
-        ('0.05061504320429655', '1.5463446106549625', '3.6482814681372293')),
-    4: ('0.28240564058154827', '0.03493763936158989',
-        ('0.07684967038503077', '1.0386044468899696', '3.7929508182832405'),
-        ('0.03493763936158989', '0.4273357663821696', '1.945676847191741')),
-    5: ('0.26826774387339447', '0.2545265226366389',
-        ('0.2603204404699325', '1.4063693745398405', '0.47631389370010485'),
-        ('0.2545265226366389', '0.7433704783324543', '0.893665182506236')),
-    6: ('0.23162924132684226', '0.1698270978967552',
-        ('0.17086705488777976', '0.528764388939845', '5.520286131159595'),
-        ('0.1698270978967552', '1.1278734733825675', '0.034604549449048005')),
-    7: ('0.4935445991025391', '0.058126325745016194',
-        ('0.058126325745016194', '1.3843734238050884', '6.027078776523717'),
-        ('0.0634106701319418', '0.5597474894885757', '2.8589471172768643')),
-    8: ('0.1717073468360113', '0.09090048559278352',
-        ('0.09090048559278352', '1.5589112225212394', '5.039344305669967'),
-        ('0.09092561251288567', '1.4842133509501099', '4.03687746596751')),
-    9: ('0.2514454039439178', '0.1150762695063513',
-        ('0.1150762695063513', '0.9499626645650563', '1.1015340357027814'),
-        ('0.16290475109246427', '0.979754875951919', '3.782247694414759')),
-    10: ('0.34270740282848816', '0.15028656842470794',
-         ('0.15028656842470794', '1.3496201298072563', '0.14443671790984275'),
-         ('0.19727314216783387', '1.1463836313022586', '3.3303760142416774')),
-    11: ('0.654869220592569', '0.1724798013302129',
-         ('0.1724798013302129', '0.5141298961503868', '2.7807533820160426'),
-         ('0.24177536736213256', '1.1263977488424208', '2.7517174319856688')),
+    0: ('0.15630246003837955', '0.19327291943649128',
+        ('0.19327291943649128', '0.6074218012126167', '1.4101291759587824'),
+        ('0.20575688138466897', '1.3652568647871504', '4.835251337092301')),
+    1: ('0.5485671308684603', '0.211200552771455',
+        ('0.22972425905181293', '0.8584528971377959', '1.3754261125895206'),
+        ('0.211200552771455', '1.239626464461814', '6.092921464790441')),
+    2: ('0.34337853665254503', '0.1061160309050857',
+        ('0.10949272746035843', '1.2091980898275694', '0.827310990149564'),
+        ('0.1061160309050857', '1.2233850181060495', '2.7857746859596246')),
+    3: ('0.23249073675523835', '0.050615043204296994',
+        ('0.09329859545958241', '0.8368563577897299', '2.206499867694265'),
+        ('0.050615043204296994', '1.5463446158294347', '3.6482814513654045')),
+    4: ('0.2824056405815478', '0.034937639361590334',
+        ('0.0768496703850311', '1.0386044482008916', '3.7929508176840074'),
+        ('0.034937639361590334', '0.427335778145785', '1.9456768500602777')),
+    5: ('0.26826774387339436', '0.254526522636639',
+        ('0.2603204404699331', '1.4063693961435129', '0.4763138919718799'),
+        ('0.254526522636639', '0.7433704710907963', '0.8936651490350495')),
+    6: ('0.23162924132684193', '0.16982709789675554',
+        ('0.17086705488778015', '0.5287644036869494', '5.520286150818034'),
+        ('0.16982709789675554', '1.1278734761195421', '0.03460456864380959')),
+    7: ('0.493544599102539', '0.058126325745016305',
+        ('0.058126325745016305', '1.3843734243760368', '6.027078763582574'),
+        ('0.06341067013194224', '0.5597474939908548', '2.858947112326995')),
+    8: ('0.1717073468360112', '0.09090048559278363',
+        ('0.09090048559278363', '1.5589112445072526', '5.039344306161437'),
+        ('0.09092561251288578', '1.4842133428254591', '4.0368774545251345')),
+    9: ('0.25144540394391757', '0.11507626950635153',
+        ('0.11507626950635153', '0.9499626749381034', '1.1015340288387578'),
+        ('0.16290475109246438', '0.979754862292845', '3.782247695320729')),
+    10: ('0.342707402828488', '0.1502865684247081',
+        ('0.1502865684247081', '1.3496201093982514', '0.14443671021632806'),
+        ('0.19727314216783376', '1.1463835965576914', '3.3303760095333956')),
+    11: ('0.6548692205925685', '0.17247980133021346',
+        ('0.17247980133021346', '0.5141299073396414', '2.7807533857739912'),
+        ('0.241775367362133', '1.1263977373602032', '2.751717427738723')),
 }
 
 

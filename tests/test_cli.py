@@ -37,27 +37,27 @@ DISCORD2Q_JSON = {
     3: (
         '{\n'
         '  "measured": "b",\n'
-        '  "classical": 0.2324907367552388,\n'
-        '  "discord": 0.05061504320429655,\n'
+        '  "classical": 0.23249073675523835,\n'
+        '  "discord": 0.050615043204296994,\n'
         '  "optimal_basis": {\n'
-        '    "theta": 1.5463446106549625,\n'
-        '    "phi": 3.6482814681372293\n'
+        '    "theta": 1.5463446158294347,\n'
+        '    "phi": 3.6482814513654045\n'
         '  },\n'
-        '  "symmetrized_classical": 0.2324907367552388,\n'
-        '  "symmetrized_discord": 0.05061504320429655,\n'
+        '  "symmetrized_classical": 0.23249073675523835,\n'
+        '  "symmetrized_discord": 0.050615043204296994,\n'
         '  "mutual_information": 0.28310577995953534\n'
         '}\n'),
     8: (
         '{\n'
         '  "measured": "b",\n'
-        '  "classical": 0.17168221991590915,\n'
-        '  "discord": 0.09092561251288567,\n'
+        '  "classical": 0.17168221991590904,\n'
+        '  "discord": 0.09092561251288578,\n'
         '  "optimal_basis": {\n'
-        '    "theta": 1.4842133509501099,\n'
-        '    "phi": 4.03687746596751\n'
+        '    "theta": 1.4842133428254591,\n'
+        '    "phi": 4.0368774545251345\n'
         '  },\n'
-        '  "symmetrized_classical": 0.1717073468360113,\n'
-        '  "symmetrized_discord": 0.09090048559278352,\n'
+        '  "symmetrized_classical": 0.1717073468360112,\n'
+        '  "symmetrized_discord": 0.09090048559278363,\n'
         '  "mutual_information": 0.2626078324287948\n'
         '}\n'),
 }

@@ -596,6 +596,23 @@ class TestStateSerialization:
             with pytest.raises(ValidationError, match="non-finite matrix entry"):
                 parse_matrix_json(blob)
 
+    @pytest.mark.parametrize("bad", ['"1"', '" 0.25 "', "true", "false", '{"re": 1}'])
+    def test_non_numeric_entries_rejected(self, bad):
+        # numpy reads numeric strings and booleans as numbers, so each is
+        # checked before the array is built
+        blob = '{"n": 1, "labels": ["a"], "amplitudes": [[1, 0], [%s, 0]]}' % bad
+        with pytest.raises(ValidationError, match="non-numeric amplitude entry"):
+            parse_state_json(blob)
+        rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        blob = json.dumps({"matrix": rows}).replace("0.0", bad, 1)
+        with pytest.raises(ValidationError, match="non-numeric matrix entry"):
+            parse_matrix_json(blob)
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        blob = '{"n": 1, "labels": ["a"], "amplitudes": [[1, 0], [%s, 0]]}' % ("9" * 400)
+        with pytest.raises(ValidationError, match="non-numeric amplitude entry"):
+            parse_state_json(blob)
+
     def test_load_state_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_state(tmp_path / "missing.json")

@@ -1,10 +1,10 @@
 """bipartite._simplex against scipy's own method="Nelder-Mead", compared with ==.
 
-The in-repo simplex replaces scipy's Nelder-Mead on every measurement
-search, so it has to take scipy's path exactly: the same vertices, the same
-tie order on equal values, the same counts. Starts at the poles force ties,
-because moving phi at theta = 0 changes no objective value. A failure here
-names the scipy version it was compared against.
+The in-repo simplex replaces scipy's Nelder-Mead on the two-party
+measurement search, so it has to take scipy's path exactly: the same
+vertices, the same tie order on equal values, the same counts. Starts at
+the poles force ties, because moving phi at theta = 0 changes no objective
+value. A failure here names the scipy version it was compared against.
 """
 
 import contextlib
@@ -20,7 +20,7 @@ import scipy
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from qcorr import DensityMatrix, correlation_report, partial_trace, random_mixed_state
+from qcorr import DensityMatrix, correlation_report, random_mixed_state
 from qcorr import bipartite, matrix_to_json, tripartite, verify
 from qcorr.cli import main
 
@@ -50,20 +50,8 @@ def assert_same_as_scipy(fun, x0):
 NAN = float("nan")
 
 
-def one_angle(rho, measured):
-    slot = rho.parties.index(measured)
-    return bipartite._one_angle_objective(
-        bipartite._pauli_tensor(rho.matrix, [slot, 1 - slot]))
-
-
 def two_angle(rho, kept):
     return tripartite._two_angle_objective(tripartite._measured_tensor(rho, kept, "test"))
-
-
-@SETTINGS
-@given(seed=st.integers(0, 47), measured=st.sampled_from("ab"), x0=ANGLES)
-def test_one_angle_runs_equal_scipy(seed, measured, x0):
-    assert_same_as_scipy(one_angle(random_mixed_state(2, seed), measured), x0)
 
 
 @SETTINGS
@@ -106,15 +94,20 @@ def test_mixed_report_runs_equal_scipy(runs):
 
 
 def test_oracle_runs_equal_scipy(runs):
-    # every production run on the benchmark's oracle_pure warm-up input
+    # the oracle's searches measure one party and run no simplex, so this
+    # takes the three two-angle runs of the mixed_report warm-up input, one
+    # per kept party, each called on its own
     verify.oracle_crosscheck(1, 256)
-    assert runs
+    assert runs == []
+    for kept in "abc":
+        tripartite.min_double_conditional_entropy(random_mixed_state(3, 100), kept)
+    assert len(runs) == 3
     for fun, x0, _ in runs:
         assert_same_as_scipy(fun, x0)
 
 
 # the same three results in a fresh interpreter where importing scipy fails,
-# so every search calls _simplex directly
+# so every search calls its method directly
 ROUTE_SCRIPT = """
 import contextlib, io, pickle, sys
 sys.modules["scipy"] = None
@@ -142,9 +135,8 @@ def test_route_without_scipy_gives_the_same_results(tmp_path):
     assert pickle.loads(proc.stdout) == here
 
 
-@pytest.mark.parametrize("bad", [NAN, math.inf])
-@pytest.mark.parametrize("kind", ["one-angle", "two-angle"])
-def test_runs_into_nan_or_inf_regions_equal_scipy(monkeypatch, bad, kind):
+@pytest.mark.parametrize("bad", [NAN, math.inf], ids=["two-angle-nan", "two-angle-inf"])
+def test_runs_into_nan_or_inf_regions_equal_scipy(monkeypatch, bad):
     # the objective reads bad beyond a plane near the start, so reflections
     # land on it; each new vertex is either placed in the sorted rest or,
     # on a tie or NaN, the whole list is reordered by _argsort, and both
@@ -159,10 +151,7 @@ def test_runs_into_nan_or_inf_regions_equal_scipy(monkeypatch, bad, kind):
     monkeypatch.setattr(bipartite, "_place_last", recorded)
     hits = 0
     for seed in range(6):
-        if kind == "one-angle":
-            f, x0 = one_angle(random_mixed_state(2, seed), "a"), (1.0, 2.0)
-        else:
-            f, x0 = two_angle(random_mixed_state(3, seed), "a"), (1.0, 2.0, 0.5, 3.0)
+        f, x0 = two_angle(random_mixed_state(3, seed), "a"), (1.0, 2.0, 0.5, 3.0)
         normal = np.random.default_rng(seed).normal(size=len(x0))
 
         def masked(x):
@@ -178,15 +167,13 @@ def test_runs_into_nan_or_inf_regions_equal_scipy(monkeypatch, bad, kind):
 
 @pytest.mark.parametrize("x0", [(0.0, 0.0), (math.pi / 2, math.pi), (1.0, 2.0)])
 def test_constant_objective_equals_scipy(x0):
-    # every vertex ties on I/4, so the reorder alone decides the path
-    flat = one_angle(DensityMatrix(np.eye(4, dtype=complex) / 4.0), "a")
-    assert_same_as_scipy(flat, x0)
+    # every vertex ties on I/8, so the reorder alone decides the path
+    flat = two_angle(DensityMatrix(np.eye(8, dtype=complex) / 8.0, ("a", "b", "c")), "c")
+    assert_same_as_scipy(flat, x0 + x0)
 
 
 def test_pole_start_equals_scipy():
-    rho = random_mixed_state(3, 0)
-    assert_same_as_scipy(two_angle(rho, "a"), (0.0, 0.0, 0.0, 0.0))
-    assert_same_as_scipy(one_angle(partial_trace(rho, ["a", "b"]), "a"), (0.0, 0.0))
+    assert_same_as_scipy(two_angle(random_mixed_state(3, 0), "a"), (0.0, 0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("fsim", [
@@ -217,15 +204,6 @@ def test_reorder_guards_each_nan():
                 min_size=1, max_size=6))
 def test_reorder_equals_np_argsort_on_any_list(fsim):
     assert bipartite._argsort(fsim) == np.argsort(fsim).tolist()
-
-
-@SETTINGS
-@given(seed=st.integers(0, 47), measured=st.sampled_from("ab"), x0=ANGLES)
-def test_quantized_one_angle_runs_equal_scipy(seed, measured, x0):
-    # rounded to 2 places, some vertices tie and others do not, so one run
-    # reorders both by sorted() and by np.argsort
-    f = one_angle(random_mixed_state(2, seed), measured)
-    assert_same_as_scipy(lambda x: round(f(x), 2), x0)
 
 
 @SETTINGS

@@ -66,9 +66,9 @@ MIN_DOUBLE_REPR = {
 MIXED_REPORT_100_REPR = (
     "{'T': 1.3593268661476177, 'J': 0.7187145150075096, "
     "'D': 0.6406123511401081, 'T2': 0.26780751191496677, "
-    "'T3': 1.091519354232651, 'J2': 0.20339968759292193, "
-    "'J3': 0.5153148274145877, 'D2': 0.06440782432204528, "
-    "'D3': 0.5762045268180628, 'tangle': None, "
+    "'T3': 1.091519354232651, 'J2': 0.20339968759292182, "
+    "'J3': 0.5153148274145878, 'D2': 0.06440782432204539, "
+    "'D3': 0.5762045268180627, 'tangle': None, "
     "'pairwise_mutual': [0.26780751191496677, 0.2209813866364585, "
     "0.13100408215327253], 'cut_mutual': [1.091519354232651, "
     "1.1383454795111592, 1.2283227839943451], "
@@ -143,11 +143,11 @@ PURE_REPR = {
     ),
 }
 MIXED_REPORT_0_REPR = (
-    "{'T': 1.6480765915869284, 'J': 1.0611691208815868, "
-    "'D': 0.5869074707053417, 'T2': 0.5619564647325541, "
-    "'T3': 1.0861201268543743, 'J2': 0.4815915072726039, "
-    "'J3': 0.5795776136089829, 'D2': 0.0616357780122293, "
-    "'D3': 0.5252716926931124, 'tangle': None, "
+    "{'T': 1.6480765915869284, 'J': 1.061169120881586, "
+    "'D': 0.5869074707053423, 'T2': 0.5619564647325541, "
+    "'T3': 1.0861201268543743, 'J2': 0.48159150727260314, "
+    "'J3': 0.579577613608983, 'D2': 0.061635778012229414, "
+    "'D3': 0.5252716926931129, 'tangle': None, "
     "'pairwise_mutual': [0.5619564647325541, 0.38852431790076647, "
     "0.36082348044766266], 'cut_mutual': [1.0861201268543743, "
     "1.259552273686162, 1.2872531111392655], "
@@ -818,6 +818,7 @@ class TestGridScreen:
     """The float32 screen of the two-angle grid moves no search start."""
 
     TH, PH, ROWS = tripartite._hemisphere(30, 30)
+    ALL = np.arange(len(TH))
 
     def grids(self, rho, kept):
         r = tripartite._measured_tensor(rho, kept, "test")
@@ -830,11 +831,9 @@ class TestGridScreen:
         err = np.abs(screen.astype(np.float64) - dense).max()
         assert err <= tripartite.SCREEN_MARGIN / 10, err
         # rows the screen keeps hold the dense grid's bytes (tested above)
-        screened = np.full(dense.shape, np.inf)
         keep = tripartite._screen_rows(screen)
-        screened[keep] = dense[keep]
-        got = tripartite._search(None, screened, self.TH, self.PH)
-        assert got == tripartite._search(None, dense, self.TH, self.PH)
+        got = tripartite._search(None, keep, dense[keep], self.TH, self.PH)
+        assert got == tripartite._search(None, self.ALL, dense, self.TH, self.PH)
         return keep
 
     def test_pool_states_keep_their_search_start(self, monkeypatch):
@@ -854,17 +853,19 @@ class TestGridScreen:
         for kept in "abc":
             r, dense, _ = self.grids(random_mixed_state(3, 100), kept)
             objective = tripartite._two_angle_objective(r)
-            screened = tripartite._screened_values(r, self.ROWS)
-            assert (tripartite._search(objective, screened, self.TH, self.PH)
-                    == tripartite._search(objective, dense, self.TH, self.PH))
+            keep = tripartite._screen_rows(tripartite._two_angle_screen(r, self.ROWS))
+            screened = tripartite._two_angle_values(r, self.ROWS, keep)
+            assert (tripartite._search(objective, keep, screened, self.TH, self.PH)
+                    == tripartite._search(objective, self.ALL, dense, self.TH, self.PH))
 
     def test_flat_landscape_keeps_every_row(self, monkeypatch):
         monkeypatch.setattr(bipartite, "_nelder_mead", _StartOnly)
         flat = DensityMatrix(np.eye(8) / 8.0, ("a", "b", "c"))
         r = tripartite._measured_tensor(flat, "c", "test")
-        values = tripartite._screened_values(r, self.ROWS)
-        assert np.isfinite(values).all()
-        start = tripartite._search(None, values, self.TH, self.PH)
+        keep = tripartite._screen_rows(tripartite._two_angle_screen(r, self.ROWS))
+        assert keep.tolist() == self.ALL.tolist()
+        values = tripartite._two_angle_values(r, self.ROWS, keep)
+        start = tripartite._search(None, keep, values, self.TH, self.PH)
         assert start == (values[0, 0], [0.0] * 4)
 
     def test_nan_row_is_kept(self):

@@ -52,7 +52,7 @@ ORACLE_20_0_REPR = (
     "'worst_margin': None, 'worst_seed': None}]}")
 ORACLE_20_0_WORST_REPR = {
     "oracle_classical": "1.6653345369377348e-15",
-    "oracle_discord": "8.104628079763643e-15",
+    "oracle_discord": "7.66053886991358e-15",
     "optimizer_beats_closed_form": "1.6653345369377348e-15",
     "numerics": "0.0",
 }
