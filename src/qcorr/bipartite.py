@@ -261,16 +261,20 @@ def _outcome_slope(w0, w1, w2, w3):
 
 
 def _one_angle_objective(r):
-    """fun(u, hessian=False): f, grad f [and the 3 x 3 Hessian] at the Bloch vector u.
+    """fun(u): f at the Bloch vector u; fun(u, True): f, grad f and the 3 x 3 Hessian.
 
     f = S(other | measured along u) from the 4x4 tensor r, whose rows R_mu
     give outcome +-1 the state w = R_0 +- R^T u. f is concave over the unit
     ball: p S(sigma / p) = -D(sigma || Tr sigma I) is, by the joint
-    convexity of relative entropy (Lindblad, CMP 39, 111, 1974).
+    convexity of relative entropy (Lindblad, CMP 39, 111, 1974). Both modes
+    give f the same bits: fun(u) sums _outcome_entropy, the value that
+    _outcome_slope also returns. The Hessian is written out entry by entry,
+    each a left fold in the order of the formula, never sum().
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = r.tolist()
     rt = ((b1, b2, b3), (c1, c2, c3), (d1, d2, d3))
-    gram = [[x * y + x2 * y2 + x3 * y3 for y, y2, y3 in rt] for x, x2, x3 in rt]
+    (gxx, gxy, gxz), (gyx, gyy, gyz), (gzx, gzy, gzz) = [
+        [x * y + x2 * y2 + x3 * y3 for y, y2, y3 in rt] for x, x2, x3 in rt]
 
     def entropy(u, hessian=False):
         ux, uy, uz = u
@@ -278,6 +282,9 @@ def _one_angle_objective(r):
         e1 = ux * b1 + uy * c1 + uz * d1
         e2 = ux * b2 + uy * c2 + uz * d2
         e3 = ux * b3 + uy * c3 + uz * d3
+        if not hessian:
+            return (_outcome_entropy(a0 + e0, a1 + e1, a2 + e2, a3 + e3, 0.5)
+                    + _outcome_entropy(a0 - e0, a1 - e1, a2 - e2, a3 - e3, 0.5))
         fp, p0, pk, p2, pn = _outcome_slope(a0 + e0, a1 + e1, a2 + e2, a3 + e3)
         fm, m0, mk, m2, mn = _outcome_slope(a0 - e0, a1 - e1, a2 - e2, a3 - e3)
         q0, q1 = p0 - m0, pk * (a1 + e1) - mk * (a1 - e1)
@@ -285,17 +292,27 @@ def _one_angle_objective(r):
         grad = (b0 * q0 + b1 * q1 + b2 * q2 + b3 * q3,
                 c0 * q0 + c1 * q1 + c2 * q2 + c3 * q3,
                 d0 * q0 + d1 * q1 + d2 * q2 + d3 * q3)
-        if not hessian:
-            return fp + fm, grad
-        hess = [[(pk + mk) * g for g in row] for row in gram]
-        for sign, k1, k2, n in ((1.0, pk, p2, pn), (-1.0, mk, m2, mn)):
-            if n > 0.0:  # q and v of _outcome_slope, taken through R
-                w = (a1 + sign * e1) / n, (a2 + sign * e2) / n, (a3 + sign * e3) / n
-                q = [x * w[0] + y * w[1] + z * w[2] for x, y, z in rt]
-                v = [qi - n / (a0 + sign * e0) * x0 for qi, x0 in zip(q, (b0, c0, d0))]
-                hess = [[h + k2 * vi * vj - k1 * qi * qj for h, vj, qj in zip(row, v, q)]
-                        for row, vi, qi in zip(hess, v, q)]
-        return fp + fm, grad, hess
+        s = pk + mk
+        hxx, hxy, hxz = s * gxx, s * gxy, s * gxz
+        hyx, hyy, hyz = s * gyx, s * gyy, s * gyz
+        hzx, hzy, hzz = s * gzx, s * gzy, s * gzz
+        for k1, k2, n, w0, w1, w2, w3 in ((pk, p2, pn, a0 + e0, a1 + e1, a2 + e2, a3 + e3),
+                                          (mk, m2, mn, a0 - e0, a1 - e1, a2 - e2, a3 - e3)):
+            if n > 0.0:  # H += k2 v v^T - k1 q q^T, q and v of _outcome_slope taken through R
+                w1, w2, w3 = w1 / n, w2 / n, w3 / n
+                qx = b1 * w1 + b2 * w2 + b3 * w3
+                qy = c1 * w1 + c2 * w2 + c3 * w3
+                qz = d1 * w1 + d2 * w2 + d3 * w3
+                t = n / w0
+                vx, vy, vz = qx - t * b0, qy - t * c0, qz - t * d0
+                kx, ky, kz, lx, ly, lz = k2 * vx, k2 * vy, k2 * vz, k1 * qx, k1 * qy, k1 * qz
+                hxx, hxy, hxz = (hxx + kx * vx - lx * qx, hxy + kx * vy - lx * qy,
+                                 hxz + kx * vz - lx * qz)
+                hyx, hyy, hyz = (hyx + ky * vx - ly * qx, hyy + ky * vy - ly * qy,
+                                 hyz + ky * vz - ly * qz)
+                hzx, hzy, hzz = (hzx + kz * vx - lz * qx, hzy + kz * vy - lz * qy,
+                                 hzz + kz * vz - lz * qz)
+        return fp + fm, grad, ((hxx, hxy, hxz), (hyx, hyy, hyz), (hzx, hzy, hzz))
 
     return entropy
 
@@ -313,7 +330,7 @@ def conditional_entropy_measured(
         measured_party = rho_ab.parties[1]
     slot = _party_slot(rho_ab, measured_party)
     r = _pauli_tensor(rho_ab.matrix, [slot, 1 - slot])
-    return _one_angle_objective(r)(_bloch_xyz(basis.theta, basis.phi))[0]
+    return _one_angle_objective(r)(_bloch_xyz(basis.theta, basis.phi))
 
 
 def _party_slot(rho, party):
@@ -356,6 +373,11 @@ def _hemisphere(n_theta, n_phi):
         a.setflags(write=False)
     return th, ph, rows
 
+
+# the one-party search's starts: the 25 points of the 7 x 8 hemisphere but its
+# last four, which lie on the equator at phi >= pi, each the measurement of the
+# point at phi - pi with its outcomes swapped
+_STARTS = _hemisphere(7, 8)[2][0:42:2, 1:].tolist()
 
 _Run = namedtuple("_Run", "x fun nit nfev success")
 
@@ -482,7 +504,7 @@ def _nelder_mead(objective, x0):
 
 
 def _sphere_descent(fun, x0, *, maxiter, tol, **_scipy_fixed):
-    """Minimize a concave f over unit vectors from x0; fun(u, True) gives f, grad f, H at u.
+    """Minimize a concave f over unit vectors from x0; fun(u) is f, fun(u, True) f, grad f, H.
 
     Each move goes to the first of these that lowers f by more than tol: the
     Newton point on the sphere at full, 1/4 and 1/16 step, and s = -grad f /
@@ -519,7 +541,7 @@ def _sphere_descent(fun, x0, *, maxiter, tol, **_scipy_fixed):
             n = math.sqrt(_dot(x, x))
             x = (x[0] / n, x[1] / n, x[2] / n)
             nfev += 1
-            if fun(x)[0] < f - tol:  # the Hessian only where the run moves
+            if fun(x) < f - tol:  # value alone; the Hessian only where the run moves
                 u, (f, g, hess), nit, nfev = x, fun(x, True), nit + 1, nfev + 1
                 break
         else:
@@ -550,19 +572,20 @@ def _search(objective, keep, values, th, ph):
 def _min_conditional_entropy(rho, slot):
     """Least S(other | measured) over projective measurements of slot; returns (value, basis).
 
-    _sphere_descent, tol 1e-15, from the first of the 25 hemisphere points of
-    the 7 x 8 grid within TIE_TOL of their minimum; the value is f at the basis.
+    _sphere_descent, tol 1e-15, from the first of the 21 distinct _STARTS
+    within TIE_TOL of their minimum; the value is f at the basis. The starts
+    and the value read f alone, the descent's derivatives only where it moves.
     """
     fun = _one_angle_objective(_pauli_tensor(rho.matrix, [slot, 1 - slot]))
-    starts = _hemisphere(7, 8)[2][0::2, 1:].tolist()
-    values = np.array([fun(u)[0] for u in starts])
-    u0 = starts[int(np.flatnonzero(values <= values.min() + TIE_TOL)[0])]
+    values = [fun(u) for u in _STARTS]
+    low = min(values) + TIE_TOL
+    u0 = next(u for u, value in zip(_STARTS, values) if value <= low)
     x, y, z = _minimize(_sphere_descent, fun, u0, _DESCENT_OPTIONS).x
     if z < 0.0:  # -u is the same measurement, its outcomes swapped
         x, y, z = -x, -y, -z
     basis = MeasurementBasis(*_normalize_angles(math.atan2(math.hypot(x, y), z),
                                                 math.atan2(y, x)))
-    return fun(_bloch_xyz(basis.theta, basis.phi))[0], basis
+    return fun(_bloch_xyz(basis.theta, basis.phi)), basis
 
 
 def classical_correlation_directional(rho_ab: DensityMatrix,
@@ -570,8 +593,9 @@ def classical_correlation_directional(rho_ab: DensityMatrix,
     """J_{other:measured} = S(rho_other) - min over bases of S(other|measured).
 
     Maximizes over rank-1 projective measurements on measured_party by a
-    descent over the Bloch sphere from the best of 25 grid points, the first
-    among ties within 1e-10, where a flat landscape such as Werner's stays.
+    descent over the Bloch sphere from the best of 21 distinct grid
+    measurements, the first among ties within 1e-10, where a flat landscape
+    such as Werner's stays.
     """
     _require_parties(rho_ab, 2, "classical_correlation_directional")
     if measured_party is None:

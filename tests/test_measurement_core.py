@@ -27,9 +27,11 @@ from qcorr import (
     acin_state,
     binary_entropy,
     conditional_entropy_measured,
+    correlation_report,
     density_of,
     double_conditional_entropy,
     haar_random_pure,
+    oracle_crosscheck,
     partial_trace,
     random_mixed_state,
     von_neumann_entropy,
@@ -143,10 +145,10 @@ def test_one_angle_derivatives_match_central_differences():
         rng = np.random.default_rng(seed)
         u = rng.normal(size=3)
         u *= rng.uniform(0.2, 0.95) / np.linalg.norm(u)
-        _, grad, hess = fun(u.tolist(), True)
-        assert fun(u.tolist())[1] == grad
+        f, grad, hess = fun(u.tolist(), True)
+        assert fun(u.tolist()) == f
         for k, e in enumerate(np.eye(3)):
-            up, down = fun((u + h * e).tolist()), fun((u - h * e).tolist())
+            up, down = fun((u + h * e).tolist(), True), fun((u - h * e).tolist(), True)
             worst = max(worst, abs((up[0] - down[0]) / (2 * h) - grad[k]),
                         *np.abs(np.subtract(up[1], down[1]) / (2 * h) - hess[k]))
     assert worst < 1e-8, worst
@@ -158,9 +160,9 @@ def test_fixed_point_step_never_raises_f(seed, measured, theta, phi):
     # concavity gives f(-grad / |grad|) <= f(u) exactly; 1e-14 allows for the
     # rounding of two evaluations of a sum of order 1
     fun = one_angle(random_mixed_state(2, seed), measured)
-    f, grad = fun(bipartite._bloch_xyz(theta, phi))
+    f, grad, _ = fun(bipartite._bloch_xyz(theta, phi), True)
     norm = math.sqrt(sum(g * g for g in grad))
-    assert fun([-g / norm for g in grad])[0] <= f + 1e-14
+    assert fun([-g / norm for g in grad]) <= f + 1e-14
 
 
 @SETTINGS
@@ -174,7 +176,7 @@ def test_descent_moves_only_downhill(seed, measured, theta, phi):
 
     def recorded(u, hessian=False):
         out = fun(u, hessian)
-        tried.append((tuple(u), out[0]))
+        tried.append((tuple(u), out[0] if hessian else out))
         return out
 
     res = bipartite._sphere_descent(recorded, bipartite._bloch_xyz(theta, phi),
@@ -185,6 +187,62 @@ def test_descent_moves_only_downhill(seed, measured, theta, phi):
             path.append((u, f))
     assert (tuple(res.x), res.fun) == path[-1]
     assert res.success and res.fun <= min(f for _, f in tried) + 1e-15
+
+
+def list_hessian(r, u):
+    """The Hessian of the one-party evaluator as nested list comprehensions.
+
+    The formula _one_angle_objective evaluated before it was written out
+    entry by entry, kept here as the reference for its bits.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = r.tolist()
+    rt = ((b1, b2, b3), (c1, c2, c3), (d1, d2, d3))
+    gram = [[x * y + x2 * y2 + x3 * y3 for y, y2, y3 in rt] for x, x2, x3 in rt]
+    ux, uy, uz = u
+    e0, e1, e2, e3 = [ux * b + uy * c + uz * d for b, c, d in zip(*r[1:].tolist())]
+    _, _, pk, p2, pn = bipartite._outcome_slope(a0 + e0, a1 + e1, a2 + e2, a3 + e3)
+    _, _, mk, m2, mn = bipartite._outcome_slope(a0 - e0, a1 - e1, a2 - e2, a3 - e3)
+    hess = [[(pk + mk) * g for g in row] for row in gram]
+    for sign, k1, k2, n in ((1.0, pk, p2, pn), (-1.0, mk, m2, mn)):
+        if n > 0.0:
+            w = (a1 + sign * e1) / n, (a2 + sign * e2) / n, (a3 + sign * e3) / n
+            q = [x * w[0] + y * w[1] + z * w[2] for x, y, z in rt]
+            v = [qi - n / (a0 + sign * e0) * x0 for qi, x0 in zip(q, (b0, c0, d0))]
+            hess = [[h + k2 * vi * vj - k1 * qi * qj for h, vj, qj in zip(row, v, q)]
+                    for row, vi, qi in zip(hess, v, q)]
+    return hess
+
+
+# (1 - t) rho_0 + t rho_seed measured on slot, with rho_0 the product state
+# |00> or the classical mixture of |00> and |11>: at t = 0 and theta = 0 both
+# outcomes are exactly pure or of probability 0, at t = 1e-13 one has p <= 1e-12
+MIXTURE = st.tuples(st.integers(0, 47), st.sampled_from(["product", "classical"]),
+                    st.one_of(st.sampled_from([0.0, 1e-13, 1e-12, 1e-6, 1.0]),
+                              st.floats(0.0, 1.0)),
+                    st.sampled_from([0, 1]))
+
+
+def mixture_tensor(seed, rho0, t, slot):
+    base = np.diag([1.0, 0.0, 0.0, 0.0] if rho0 == "product" else [0.5, 0.0, 0.0, 0.5])
+    matrix = (1.0 - t) * base + t * random_mixed_state(2, seed).matrix
+    return bipartite._pauli_tensor(matrix, [slot, 1 - slot])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mix=MIXTURE, theta=THETA, phi=PHI, radius=st.sampled_from([1.0, 0.5]))
+def test_value_mode_is_the_derivative_mode_value(mix, theta, phi, radius):
+    fun = bipartite._one_angle_objective(mixture_tensor(*mix))
+    u = [radius * x for x in bipartite._bloch_xyz(theta, phi)]
+    assert repr(fun(u)) == repr(fun(u, True)[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mix=MIXTURE, theta=THETA, phi=PHI, radius=st.sampled_from([1.0, 0.5]))
+def test_written_out_hessian_is_the_list_formula(mix, theta, phi, radius):
+    r = mixture_tensor(*mix)
+    u = [radius * x for x in bipartite._bloch_xyz(theta, phi)]
+    hess = bipartite._one_angle_objective(r)(u, True)[2]
+    assert repr([list(row) for row in hess]) == repr(list_hessian(r, u))
 
 
 # the one-party minima of the grid and Nelder-Mead search this one replaced
@@ -224,3 +282,24 @@ def test_search_never_ends_above_the_replaced_search(family, state):
             if got > old + 1e-12:
                 above[seed, measured + other] = got - old
     assert above == {}
+
+
+# x, fun, nit, nfev and success of every descent run of the benchmark's
+# mixed_report warm-up input 100 (18 runs) and of oracle_crosscheck(1, 256)
+# (6 runs), recorded before the search tested its trial points by value alone
+RUNS = json.loads((pathlib.Path(__file__).parent / "one_angle_runs.json").read_text())
+
+
+def test_descent_runs_keep_their_bits_and_counts(monkeypatch):
+    recorded = []
+    real = bipartite._sphere_descent
+
+    def record(fun, x0, **options):
+        res = real(fun, x0, **options)
+        recorded.append([[float(v) for v in res.x], res.fun, res.nit, res.nfev, res.success])
+        return res
+
+    monkeypatch.setattr(bipartite, "_sphere_descent", record)
+    correlation_report(random_mixed_state(3, 100))
+    oracle_crosscheck(1, 256)
+    assert repr(recorded) == repr(RUNS["mixed_report_100"] + RUNS["oracle_crosscheck_1_256"])
