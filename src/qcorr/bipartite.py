@@ -326,6 +326,8 @@ def conditional_entropy_measured(
     probability below 1e-12 contribute zero.
     """
     _require_parties(rho_ab, 2, "conditional_entropy_measured")
+    if not isinstance(basis, MeasurementBasis):
+        raise ValidationError(f"basis {basis!r} is not a MeasurementBasis")
     if measured_party is None:
         measured_party = rho_ab.parties[1]
     slot = _party_slot(rho_ab, measured_party)

@@ -38,6 +38,7 @@ from .qstate import (
 )
 from .bipartite import (
     TIE_TOL,
+    MeasurementBasis,
     _bloch_xyz,
     _hemisphere,
     _kw_forms,
@@ -691,6 +692,9 @@ def double_conditional_entropy(rho, k, bases) -> float:
     bases is a pair of MeasurementBasis for the two measured parties in
     their rho.parties order.
     """
+    if not (isinstance(bases, (list, tuple)) and len(bases) == 2
+            and all(isinstance(b, MeasurementBasis) for b in bases)):
+        raise ValidationError(f"bases {bases!r} must be two MeasurementBasis objects")
     u, v = bases
     r = _measured_tensor(rho, k, "double_conditional_entropy")
     return _two_angle_objective(r)((u.theta, u.phi, v.theta, v.phi))

@@ -320,6 +320,9 @@ def _run_samples(checks, margins_of, n_samples, seed, n_qubits, states):
     sub-seed. A sample whose margins_of raises counts as one numerics
     violation and adds to no other check.
     """
+    if states is not None and not (isinstance(states, (list, tuple))
+                                   and all(isinstance(psi, PureState) for psi in states)):
+        raise ValidationError("states must be a list or tuple of PureState")
     started = time.monotonic()
     acc = {name: _Accumulator(name, tol) for name, tol in checks}
     for index in range(n_samples):
@@ -348,8 +351,8 @@ def run_suite(n_samples: int, seed: int, n_qubits: int = 3,
               states=None) -> ViolationReport:
     """Check every identity on n_samples Haar-random pure states.
 
-    states, when given, is a sequence of PureState objects substituted for
-    the first len(states) samples (used to pin known states into the run).
+    states, when given, is a list or tuple of PureState objects substituted
+    for the first len(states) samples (used to pin known states into the run).
     Deterministic for fixed arguments.
     """
     n_samples = _int_arg(n_samples, "n_samples", 1)

@@ -19,7 +19,6 @@ from qcorr import (
     density_of,
     discord_directional,
     eof_from_concurrence,
-    haar_random_pure,
     koashi_winter_classical,
     koashi_winter_discord,
     load_matrix,
@@ -28,95 +27,17 @@ from qcorr import (
     one_to_rest_concurrence,
     parse_matrix_json,
     partial_trace,
-    random_mixed_state,
     symmetrized_classical,
     symmetrized_discord,
     to_pure,
     von_neumann_entropy,
 )
 from qcorr.bipartite import discord_from
+from test_pins import bell_state, werner
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 # entanglement of formation at concurrence 2/3, i.e. h((3 + sqrt 5) / 6)
 E_W_PAIR = 0.5500477595827576
-
-
-# repr of (value, theta, phi) of classical_correlation_directional on the
-# two-party states of directional_test_state(), per measured party; compared
-# with ==, because every rounding of the objective can move the Nelder-Mead
-# path.
-DIRECTIONAL_REPR = {
-    ("mixed5", "a"): (
-        "0.28955791831643773", "0.5811567974247958", "4.584303948208653"),
-    ("mixed5", "b"): (
-        "0.3138231198230953", "1.433420918174244", "5.66334170924544"),
-    ("mixed100", "b"): (
-        "0.0609863572828756", "0.5859549779812361", "3.001092324919948"),
-    ("mixed100", "c"): (
-        "0.06342555536524153", "1.310968171461216", "0.40733843871779163"),
-    ("pure7", "a"): (
-        "0.21907268990608675", "0.9623414770148774", "5.226544266374361"),
-    ("pure7", "c"): (
-        "0.17854146212602623", "1.4911835669848483", "6.23060031196368"),
-}
-
-# repr of classical_correlation_directional(werner(0.8)).value
-WERNER_08_REPR = "0.531004406410719"
-
-
-# reprs of symmetrized_classical, symmetrized_discord and (value, theta, phi)
-# of discord_directional measured on a and on b, for random_mixed_state(2, k);
-# recorded when symmetrized_discord took the minimum of the two directional
-# discords instead of subtracting the symmetrized classical correlation
-SYMMETRIZED_REPR = {
-    0: ('0.15630246003837955', '0.19327291943649128',
-        ('0.19327291943649128', '0.6074218012126167', '1.4101291759587824'),
-        ('0.20575688138466897', '1.3652568647871504', '4.835251337092301')),
-    1: ('0.5485671308684603', '0.211200552771455',
-        ('0.22972425905181293', '0.8584528971377959', '1.3754261125895206'),
-        ('0.211200552771455', '1.239626464461814', '6.092921464790441')),
-    2: ('0.34337853665254503', '0.1061160309050857',
-        ('0.10949272746035843', '1.2091980898275694', '0.827310990149564'),
-        ('0.1061160309050857', '1.2233850181060495', '2.7857746859596246')),
-    3: ('0.23249073675523835', '0.050615043204296994',
-        ('0.09329859545958241', '0.8368563577897299', '2.206499867694265'),
-        ('0.050615043204296994', '1.5463446158294347', '3.6482814513654045')),
-    4: ('0.2824056405815478', '0.034937639361590334',
-        ('0.0768496703850311', '1.0386044482008916', '3.7929508176840074'),
-        ('0.034937639361590334', '0.427335778145785', '1.9456768500602777')),
-    5: ('0.26826774387339436', '0.254526522636639',
-        ('0.2603204404699331', '1.4063693961435129', '0.4763138919718799'),
-        ('0.254526522636639', '0.7433704710907963', '0.8936651490350495')),
-    6: ('0.23162924132684193', '0.16982709789675554',
-        ('0.17086705488778015', '0.5287644036869494', '5.520286150818034'),
-        ('0.16982709789675554', '1.1278734761195421', '0.03460456864380959')),
-    7: ('0.493544599102539', '0.058126325745016305',
-        ('0.058126325745016305', '1.3843734243760368', '6.027078763582574'),
-        ('0.06341067013194224', '0.5597474939908548', '2.858947112326995')),
-    8: ('0.1717073468360112', '0.09090048559278363',
-        ('0.09090048559278363', '1.5589112445072526', '5.039344306161437'),
-        ('0.09092561251288578', '1.4842133428254591', '4.0368774545251345')),
-    9: ('0.25144540394391757', '0.11507626950635153',
-        ('0.11507626950635153', '0.9499626749381034', '1.1015340288387578'),
-        ('0.16290475109246438', '0.979754862292845', '3.782247695320729')),
-    10: ('0.342707402828488', '0.1502865684247081',
-        ('0.1502865684247081', '1.3496201093982514', '0.14443671021632806'),
-        ('0.19727314216783376', '1.1463835965576914', '3.3303760095333956')),
-    11: ('0.6548692205925685', '0.17247980133021346',
-        ('0.17247980133021346', '0.5141299073396414', '2.7807533857739912'),
-        ('0.241775367362133', '1.1263977373602032', '2.751717427738723')),
-}
-
-
-def directional_test_state(name):
-    if name == "pure7":
-        return partial_trace(density_of(haar_random_pure(3, 7)), ["a", "c"])
-    seed, keep = {"mixed5": (5, ["a", "b"]), "mixed100": (100, ["b", "c"])}[name]
-    return partial_trace(random_mixed_state(3, seed), keep)
-
-
-def bell_state():
-    return PureState(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
 
 
 def ghz():
@@ -129,11 +50,6 @@ def w3():
     amp = np.zeros(8, complex)
     amp[0b001] = amp[0b010] = amp[0b100] = 1.0 / math.sqrt(3.0)
     return PureState(amp)
-
-
-def werner(p):
-    bell = density_of(bell_state()).matrix
-    return DensityMatrix(p * bell + (1.0 - p) * np.eye(4) / 4.0, ("a", "b"))
 
 
 def product_state():
@@ -263,6 +179,10 @@ class TestConditionalEntropy:
                 product_state(), MeasurementBasis(0.0, 0.0), "z"
             )
 
+    def test_basis_must_be_a_measurement_basis(self):
+        with pytest.raises(ValidationError, match="basis 'x' is not a MeasurementBasis"):
+            conditional_entropy_measured(product_state(), "x")
+
 
 class TestDirectionalCorrelations:
     def test_bell(self):
@@ -318,18 +238,6 @@ class TestDirectionalCorrelations:
         assert abs(symmetrized_classical(rho) - max(j_a, j_b)) < 1e-12
         assert abs(symmetrized_discord(rho) - min(d_a, d_b)) < 1e-12
 
-    def test_symmetrized_is_bit_identical_to_recorded_values(self):
-        def triple(res):
-            basis = res.optimal_basis
-            return repr(res.value), repr(basis.theta), repr(basis.phi)
-
-        for k, want in SYMMETRIZED_REPR.items():
-            rho = random_mixed_state(2, k)
-            got = (repr(symmetrized_classical(rho)), repr(symmetrized_discord(rho)),
-                   triple(discord_directional(rho, "a")),
-                   triple(discord_directional(rho, "b")))
-            assert got == want, k
-
     def test_discord_from_floors_noise_and_rejects_failures(self):
         assert discord_from(0.5, 0.25) == 0.25
         assert discord_from(0.5, 0.5 + 1e-7) == 0.0
@@ -342,14 +250,6 @@ class TestDirectionalCorrelations:
         with pytest.raises(InternalInvariantError):
             DirectionalResult(-1e-3, MeasurementBasis(0.0, 0.0), "optimizer")
 
-    def test_search_is_bit_identical_to_recorded_values(self):
-        for (name, party), want in DIRECTIONAL_REPR.items():
-            res = classical_correlation_directional(directional_test_state(name),
-                                                    party)
-            basis = res.optimal_basis
-            got = (repr(res.value), repr(basis.theta), repr(basis.phi))
-            assert got == want, (name, party)
-
     def test_ties_resolve_to_the_first_grid_point(self):
         # every measurement gives the same conditional entropy on these
         # states, so their grid values differ only by rounding; the search
@@ -359,8 +259,6 @@ class TestDirectionalCorrelations:
             for party in rho.parties:
                 basis = classical_correlation_directional(rho, party).optimal_basis
                 assert basis == MeasurementBasis(0.0, 0.0), (rho, party)
-        value = classical_correlation_directional(werner(0.8)).value
-        assert repr(value) == WERNER_08_REPR
 
 
 class TestKoashiWinter:

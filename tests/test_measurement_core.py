@@ -27,11 +27,9 @@ from qcorr import (
     acin_state,
     binary_entropy,
     conditional_entropy_measured,
-    correlation_report,
     density_of,
     double_conditional_entropy,
     haar_random_pure,
-    oracle_crosscheck,
     partial_trace,
     random_mixed_state,
     von_neumann_entropy,
@@ -283,23 +281,3 @@ def test_search_never_ends_above_the_replaced_search(family, state):
                 above[seed, measured + other] = got - old
     assert above == {}
 
-
-# x, fun, nit, nfev and success of every descent run of the benchmark's
-# mixed_report warm-up input 100 (18 runs) and of oracle_crosscheck(1, 256)
-# (6 runs), recorded before the search tested its trial points by value alone
-RUNS = json.loads((pathlib.Path(__file__).parent / "one_angle_runs.json").read_text())
-
-
-def test_descent_runs_keep_their_bits_and_counts(monkeypatch):
-    recorded = []
-    real = bipartite._sphere_descent
-
-    def record(fun, x0, **options):
-        res = real(fun, x0, **options)
-        recorded.append([[float(v) for v in res.x], res.fun, res.nit, res.nfev, res.success])
-        return res
-
-    monkeypatch.setattr(bipartite, "_sphere_descent", record)
-    correlation_report(random_mixed_state(3, 100))
-    oracle_crosscheck(1, 256)
-    assert repr(recorded) == repr(RUNS["mixed_report_100"] + RUNS["oracle_crosscheck_1_256"])
