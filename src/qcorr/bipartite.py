@@ -26,8 +26,10 @@ from .qstate import (
     ROUNDING_SLACK,
     DensityMatrix,
     PureState,
+    _as_density,
     _clamp_unit,
     _floor_zero,
+    _real_arg,
     binary_entropy,
     density_of,
     partial_trace,
@@ -62,10 +64,8 @@ class MeasurementBasis:
     phi: float
 
     def __post_init__(self):
-        if not -1e-12 <= self.theta <= math.pi + 1e-12:
-            raise ValidationError(f"theta {self.theta!r} outside [0, pi]")
-        if not -1e-12 <= self.phi < 2 * math.pi + 1e-12:
-            raise ValidationError(f"phi {self.phi!r} outside [0, 2*pi)")
+        for name, hi in (("theta", math.pi), ("phi", 2 * math.pi)):
+            object.__setattr__(self, name, _real_arg(getattr(self, name), name, 0.0, hi))
 
     def vector(self):
         return _bloch_vector(self.theta, self.phi)
@@ -93,16 +93,9 @@ class DirectionalResult:
             raise InternalInvariantError(f"negative correlation {self.value!r}")
 
 
-def _require_parties(rho, n, what):
-    if not isinstance(rho, DensityMatrix):
-        raise ValidationError(f"{what} expects a DensityMatrix")
-    if rho.n_parties != n:
-        raise ValidationError(f"{what} expects {n} parties, got {rho.n_parties}")
-
-
 def mutual_information(rho_ab: DensityMatrix) -> float:
     """I = S(rho_a) + S(rho_b) - S(rho_ab), in bits."""
-    _require_parties(rho_ab, 2, "mutual_information")
+    rho_ab = _as_density(rho_ab, "mutual_information", 2)
     a, b = rho_ab.parties
     return (
         von_neumann_entropy(partial_trace(rho_ab, [a]))
@@ -128,7 +121,7 @@ def concurrence(rho_ab: DensityMatrix) -> float:
     keeps the near-zero lambdas at machine accuracy instead of the 1e-8
     floor that taking sqrt of eigensolver noise would impose.
     """
-    _require_parties(rho_ab, 2, "concurrence")
+    rho_ab = _as_density(rho_ab, "concurrence", 2)
     return _wootters(*_root_lambdas(rho_ab.matrix).tolist())
 
 
@@ -144,7 +137,7 @@ def _wootters(l1, l2, l3, l4):
 
 def one_to_rest_concurrence(rho_i: DensityMatrix) -> float:
     """C_i = 2 sqrt(det rho_i) for one qubit of a pure multipartite state."""
-    _require_parties(rho_i, 1, "one_to_rest_concurrence")
+    rho_i = _as_density(rho_i, "one_to_rest_concurrence", 1)
     return _one_to_rest(float(np.linalg.det(rho_i.matrix).real))
 
 
@@ -325,7 +318,7 @@ def conditional_entropy_measured(
     measured_party defaults to the second party of rho_ab. Outcomes with
     probability below 1e-12 contribute zero.
     """
-    _require_parties(rho_ab, 2, "conditional_entropy_measured")
+    rho_ab = _as_density(rho_ab, "conditional_entropy_measured", 2)
     if not isinstance(basis, MeasurementBasis):
         raise ValidationError(f"basis {basis!r} is not a MeasurementBasis")
     if measured_party is None:
@@ -599,7 +592,7 @@ def classical_correlation_directional(rho_ab: DensityMatrix,
     measurements, the first among ties within 1e-10, where a flat landscape
     such as Werner's stays.
     """
-    _require_parties(rho_ab, 2, "classical_correlation_directional")
+    rho_ab = _as_density(rho_ab, "classical_correlation_directional", 2)
     if measured_party is None:
         measured_party = rho_ab.parties[1]
     slot = _party_slot(rho_ab, measured_party)
@@ -625,14 +618,14 @@ def discord_directional(rho_ab: DensityMatrix,
 
 def symmetrized_classical(rho_ab: DensityMatrix) -> float:
     """max[J_{a:b}, J_{b:a}] over the two measurement directions."""
-    _require_parties(rho_ab, 2, "symmetrized_classical")
+    rho_ab = _as_density(rho_ab, "symmetrized_classical", 2)
     return max(classical_correlation_directional(rho_ab, p).value
                for p in rho_ab.parties)
 
 
 def symmetrized_discord(rho_ab: DensityMatrix) -> float:
     """min[D_{a:b}, D_{b:a}] = I - max[J_{a:b}, J_{b:a}]."""
-    _require_parties(rho_ab, 2, "symmetrized_discord")
+    rho_ab = _as_density(rho_ab, "symmetrized_discord", 2)
     return discord_from(mutual_information(rho_ab), symmetrized_classical(rho_ab))
 
 
@@ -643,9 +636,7 @@ def to_pure(state) -> PureState:
     """
     if isinstance(state, PureState):
         return state
-    if not isinstance(state, DensityMatrix):
-        raise ValidationError("expected a PureState or DensityMatrix")
-    vals, vecs = np.linalg.eigh(state.matrix)
+    vals, vecs = np.linalg.eigh(_as_density(state, "to_pure").matrix)
     if vals[-1] <= 1.0 - 1e-8:
         raise UnsupportedInputError(
             f"state is mixed (largest eigenvalue {float(vals[-1])!r})"
@@ -656,9 +647,7 @@ def to_pure(state) -> PureState:
 
 def _pure_state(state, what, qubits=(3, 3)):
     """Pure state of qubits[0]..qubits[1] qubits as a PureState, else UnsupportedInputError."""
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise ValidationError(f"{what} expects a PureState or DensityMatrix")
-    psi = to_pure(state)
+    psi = state if isinstance(state, PureState) else to_pure(_as_density(state, what))
     if not qubits[0] <= psi.n_qubits <= qubits[1]:
         raise UnsupportedInputError(f"{what} has no closed form for {psi.n_qubits} qubits")
     return psi

@@ -35,11 +35,21 @@ def _floor_zero(x, what, slack=ROUNDING_SLACK):
     return max(0.0, x)
 
 
+def _real_arg(value, what, lo, hi=math.inf):
+    """float(value) of a real scalar within 1e-12 of [lo, hi]; a bool, string,
+    None, complex number, array (0-d too) or nan raises, naming what."""
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, float, np.integer, np.floating))):
+        raise ValidationError(f"{what} {value!r} must be a real number")
+    x = float(value)
+    if not lo - 1e-12 <= x <= hi + 1e-12:  # nan fails too
+        raise ValidationError(f"{what} {x!r} outside [{lo:g}, {hi:g}]")
+    return x
+
+
 def _clamp_unit(x, what):
-    """x clamped to [0, 1]; nan or a value beyond 1e-12 outside raises."""
-    x = float(x)
-    if not -1e-12 <= x <= 1.0 + 1e-12:  # nan fails too
-        raise ValidationError(f"{what} {x!r} outside [0, 1]")
+    """_real_arg(x, what, 0, 1) clamped to [0, 1]."""
+    x = _real_arg(x, what, 0.0, 1.0)
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x  # min(max(x, 0), 1), -0.0 kept
 
 
@@ -177,6 +187,18 @@ class Spectrum:
     clipped: bool
 
 
+def _as_density(state, what, n=None):
+    """state as a DensityMatrix of n parties (any number when None); a
+    PureState becomes density_of(state), and anything else raises."""
+    if isinstance(state, PureState):
+        state = density_of(state)
+    elif not isinstance(state, DensityMatrix):
+        raise ValidationError(f"{what} expects a PureState or DensityMatrix")
+    if n is not None and state.n_parties != n:
+        raise ValidationError(f"{what} expects {n} parties, got {state.n_parties}")
+    return state
+
+
 def density_of(psi: PureState) -> DensityMatrix:
     """Outer product |psi><psi| carrying psi's party labels."""
     if not isinstance(psi, PureState):
@@ -195,6 +217,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     keep must be a nonempty proper subset of rho.parties. Trace and
     hermiticity are preserved by construction.
     """
+    rho = _as_density(rho, "partial_trace")
     parties = rho.parties
     keep = [str(keep)] if isinstance(keep, str) else list(map(str, keep))
     unknown = [x for x in keep if x not in parties]
@@ -227,6 +250,7 @@ def _trace_out(m, keep_idx):
 
 def permute_parties(rho: DensityMatrix, new_order) -> DensityMatrix:
     """Relabel-preserving reordering of the tensor factors."""
+    rho = _as_density(rho, "permute_parties")
     new_order = _label_list(new_order)
     if sorted(new_order) != sorted(rho.parties):
         raise ValidationError(
@@ -245,13 +269,15 @@ def eig_hermitian(m) -> Spectrum:
     Eigenvalues in [-1e-10, 0), which are numerical noise for positive
     semidefinite inputs, are clipped to zero and the clipped flag is set.
     More negative values pass through unchanged (the input may be a general
-    Hermitian operator). Raw arrays must be Hermitian within HERM_TOL; a
-    DensityMatrix passed that check when it was built.
+    Hermitian operator). Raw arrays must be square and Hermitian within
+    HERM_TOL; a DensityMatrix passed those checks when it was built.
     """
     if isinstance(m, DensityMatrix):
         arr = m.matrix  # checked against HERM_TOL when built, then frozen
     else:
         arr = np.asarray(m, complex)
+        if arr.ndim != 2 or not arr.shape[0] == arr.shape[1] > 0:
+            raise ValidationError(f"matrix must be square, got shape {arr.shape}")
         herm_dev = float(np.abs(arr - arr.conj().T).max())
         if not herm_dev <= HERM_TOL:  # nan fails too
             raise ValidationError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
@@ -264,14 +290,11 @@ def eig_hermitian(m) -> Spectrum:
 
 
 def von_neumann_entropy(rho) -> float:
-    """S(rho) = -sum_i lambda_i log2 lambda_i, in bits, with 0 log 0 = 0."""
-    if isinstance(rho, DensityMatrix):
-        # checked against HERM_TOL when built; eig_hermitian's clipping only
-        # zeroes noise that the > 0 below drops anyway
-        vals = np.linalg.eigvalsh(rho.matrix)[::-1]
-    else:
-        vals = eig_hermitian(rho).eigenvalues
-    return _entropy(vals)
+    """S(rho) = -sum_i lambda_i log2 lambda_i, in bits, with 0 log 0 = 0; a raw
+    matrix is read as a DensityMatrix."""
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho)
+    return _entropy(np.linalg.eigvalsh(rho.matrix)[::-1])
 
 
 def _entropy(vals):
@@ -301,26 +324,23 @@ def relative_entropy(rho, sigma) -> float:
 
     Returns math.inf when the support of rho leaks outside the support of
     sigma (a sigma eigenvalue below 1e-12 carrying rho weight above 1e-9).
+    A raw matrix is read as a DensityMatrix, with the other's parties if it has any.
     """
-    if isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix):
-        if rho.parties != sigma.parties:
-            raise ValidationError(
-                f"party mismatch: {rho.parties!r} vs {sigma.parties!r}"
-            )
-    r = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, complex)
-    s = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, complex)
-    if r.shape != s.shape:
-        raise ValidationError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    s_vals, s_vecs = np.linalg.eigh(s)
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho, sigma.parties if isinstance(sigma, DensityMatrix) else None)
+    if not isinstance(sigma, DensityMatrix):
+        sigma = DensityMatrix(sigma, rho.parties)
+    if rho.parties != sigma.parties:
+        raise ValidationError(f"party mismatch: {rho.parties!r} vs {sigma.parties!r}")
+    s_vals, s_vecs = np.linalg.eigh(sigma.matrix)
     # rho weight in each sigma eigendirection
-    weights = np.einsum("ij,jk,ki->i", s_vecs.conj().T, r, s_vecs).real
+    weights = np.einsum("ij,jk,ki->i", s_vecs.conj().T, rho.matrix, s_vecs).real
     small = s_vals < 1e-12
     if bool((weights[small] > 1e-9).any()):
         return math.inf
     keep = ~small
     cross = float((weights[keep] * np.log2(s_vals[keep])).sum())
-    # a DensityMatrix skips eig_hermitian's recheck; same positive eigenvalues
-    value = -von_neumann_entropy(rho if isinstance(rho, DensityMatrix) else r) - cross
+    value = -von_neumann_entropy(rho) - cross
     return max(0.0, value)
 
 

@@ -23,12 +23,14 @@ from .qstate import (
     ROUNDING_SLACK,
     DensityMatrix,
     PureState,
+    _as_density,
     _checked_spectrum,
     _clamp_unit,
     _entropy,
     _floor_zero,
     _int_arg,
     _outer,
+    _real_arg,
     _trace_out,
     density_of,
     partial_trace,
@@ -170,29 +172,17 @@ class AcinForm:
     theta: float = 0.0
 
     def __post_init__(self):
-        lams = self.lambdas
-        if min(lams) < -1e-12:
-            raise ValidationError(f"negative coefficient in {lams!r}")
-        total = sum(x * x for x in lams)
-        if not abs(total - 1.0) <= 1e-10:  # nan fails too
+        for name in ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4", "theta"):
+            hi = 2 * math.pi if name == "theta" else math.inf
+            object.__setattr__(self, name, _real_arg(getattr(self, name), name, 0.0, hi))
+        total = sum(x * x for x in self.lambdas)
+        if not abs(total - 1.0) <= 1e-10:  # an inf coefficient fails too
             raise ValidationError(f"coefficient squares sum to {total!r}, not 1")
-        if not -1e-12 <= self.theta < 2 * math.pi + 1e-12:
-            raise ValidationError(f"theta {self.theta!r} outside [0, 2*pi)")
 
     @property
     def lambdas(self):
         return (self.lambda0, self.lambda1, self.lambda2, self.lambda3,
                 self.lambda4)
-
-
-def _as_three_party(rho, what):
-    if isinstance(rho, PureState):
-        rho = density_of(rho)
-    if not isinstance(rho, DensityMatrix):
-        raise ValidationError(f"{what} expects a PureState or DensityMatrix")
-    if rho.n_parties != 3:
-        raise ValidationError(f"{what} expects 3 parties, got {rho.n_parties}")
-    return rho
 
 
 def _entropies_and_pairs(rho):
@@ -237,7 +227,7 @@ def _kw_table(s1, eof):
 
 def total_information(rho) -> float:
     """T = S(rho_a) + S(rho_b) + S(rho_c) - S(rho)."""
-    rho = _as_three_party(rho, "total_information")
+    rho = _as_density(rho, "total_information", 3)
     s1 = [von_neumann_entropy(partial_trace(rho, [x])) for x in rho.parties]
     return _floor_zero(sum(s1) - von_neumann_entropy(rho), "total information")
 
@@ -248,7 +238,7 @@ def canonical_ordering(rho) -> PartyOrdering:
     Candidate permutations are scanned in lexicographic order of the
     original labels, so fully symmetric states keep the identity.
     """
-    rho = _as_three_party(rho, "canonical_ordering")
+    rho = _as_density(rho, "canonical_ordering", 3)
     return _ordering(rho.parties, _entropies_and_pairs(rho)[2])
 
 
@@ -268,7 +258,7 @@ def _ordering(labels, pair_i):
 
 def genuine_total(rho) -> float:
     """T3 = T - max pairwise mutual information."""
-    rho = _as_three_party(rho, "genuine_total")
+    rho = _as_density(rho, "genuine_total", 3)
     _, _, pair_i, _ = _entropies_and_pairs(rho)
     return _floor_zero(total_information(rho) - max(pair_i.values()), "T3")
 
@@ -279,7 +269,7 @@ def genuine_total_via_relative_entropy(rho) -> float:
     Independent route to genuine_total: builds each two-versus-one product
     state explicitly and measures the relative-entropy distance.
     """
-    rho = _as_three_party(rho, "genuine_total_via_relative_entropy")
+    rho = _as_density(rho, "genuine_total_via_relative_entropy", 3)
     values = []
     for k in rho.parties:
         ij = [x for x in rho.parties if x != k]
@@ -393,7 +383,7 @@ def correlation_report(state) -> CorrelationReport:
     Pure inputs (largest eigenvalue above 1 - 1e-8) take the closed-form
     path; mixed inputs run the measurement optimizers and leave tangle unset.
     """
-    rho = _as_three_party(state, "correlation_report")
+    rho = _as_density(state, "correlation_report", 3)
     try:
         psi = to_pure(state if isinstance(state, PureState) else rho)
     except UnsupportedInputError:
@@ -502,11 +492,11 @@ def sweep_grid(p_min, p_max, step):
     The last point may overshoot p_max by up to step / 2; it stops at p_max.
     Grids of more than SWEEP_MAX_POINTS points are refused before any is built.
     """
-    if not 0.0 <= p_min <= p_max <= 1.0:
-        raise ValidationError(
-            f"need 0 <= p_min <= p_max <= 1, got [{p_min}, {p_max}]"
-        )
-    if not 0.0 < step < math.inf:  # also catches nan
+    p_min, p_max = _clamp_unit(p_min, "p_min"), _clamp_unit(p_max, "p_max")
+    step = _real_arg(step, "step", 0.0)
+    if not p_min <= p_max:
+        raise ValidationError(f"need p_min <= p_max, got [{p_min}, {p_max}]")
+    if not 0.0 < step < math.inf:
         raise ValidationError(f"step {step!r} must be positive and finite")
     span = (p_max - p_min) / step
     if span >= SWEEP_MAX_POINTS - 0.5:  # also inf, which round() rejects
@@ -533,9 +523,9 @@ def sweep_families(p_grid, families=("ghz_tilde", "w_tilde")):
 def find_discord_crossover(rows):
     """Smallest p where the W-family total discord exceeds the GHZ-family's.
 
-    Scans the D values of sweep_families rows of both families, in order of
-    p, for a sign change of the difference and bisects it with
-    total_discord_pure down to CROSSOVER_TOL. Returns None when the rows hold none.
+    Scans the sweep_families rows of both families, in order of p, for a sign
+    change of the D difference and bisects it to CROSSOVER_TOL with one
+    _pure_reports pass per step. Returns None when the rows hold none.
     """
     d = {(p, family): report.D for p, family, report in rows}
     gaps = []
@@ -547,8 +537,8 @@ def find_discord_crossover(rows):
         if g_lo <= 0.0 < g_hi:
             while hi - lo > CROSSOVER_TOL:
                 mid = (lo + hi) / 2.0
-                if (total_discord_pure(family_w_tilde(mid))
-                        - total_discord_pure(family_ghz_tilde(mid))) > 0.0:
+                w, ghz = _pure_reports([family_w_tilde(mid), family_ghz_tilde(mid)])
+                if w.D - ghz.D > 0.0:
                     hi = mid
                 else:
                     lo = mid
@@ -558,7 +548,7 @@ def find_discord_crossover(rows):
 
 def _measured_tensor(rho, k, what):
     """Pauli tensor of rho with axes (measured i, measured j, kept k)."""
-    rho = _as_three_party(rho, what)
+    rho = _as_density(rho, what, 3)
     slot_k = _party_slot(rho, k)
     return _pauli_tensor(rho.matrix, [x for x in range(3) if x != slot_k] + [slot_k])
 
@@ -739,7 +729,7 @@ def total_classical_mixed(rho) -> float:
     permutations with projective-measurement optimizers, so the result is a
     lower bound to the POVM-defined quantity.
     """
-    rho = _as_three_party(rho, "total_classical_mixed")
+    rho = _as_density(rho, "total_classical_mixed", 3)
     s1, pair_rho, _, _ = _entropies_and_pairs(rho)
     return _total_classical_mixed(rho, s1, pair_rho)
 

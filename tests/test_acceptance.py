@@ -21,7 +21,6 @@ from qcorr import (
     AcinForm,
     PureState,
     acin_state,
-    binary_entropy,
     density_of,
     genuine_qc_n,
     genuine_total,

@@ -11,7 +11,6 @@ from qcorr import (
     bipartite,
     density_of,
     find_discord_crossover,
-    ghz_state,
     load_matrix,
     matrix_to_json,
     partial_trace,
@@ -259,18 +258,21 @@ class TestSweep:
         assert 0.749 < star <= 0.76
 
     def test_crossover_reuses_the_rows(self, capsys, monkeypatch):
-        calls = []
-        real = tripartite.total_discord_pure
+        sizes = []
+        real = tripartite._pure_reports
 
-        def counted(psi):
-            calls.append(psi)
-            return real(psi)
+        def counted(states):
+            states = list(states)
+            sizes.append(len(states))
+            return real(states)
 
-        monkeypatch.setattr(tripartite, "total_discord_pure", counted)
+        monkeypatch.setattr(tripartite, "_pure_reports", counted)
         code, _, err = run_main(capsys, "sweep", "both", "0", "1", "0.01")
         assert code == 0
         assert "discord crossover p* = 0.749336" in err
-        assert len(calls) == 14  # the bisection midpoints, two families each
+        # one stacked pass per family, then one per bisection midpoint that
+        # holds both families
+        assert sizes == [101, 101] + [2] * 7
 
     def test_range_validation(self, capsys):
         code, _, err = run_main(capsys, "sweep", "both", "0.8", "0.2", "0.1")

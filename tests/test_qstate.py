@@ -8,7 +8,6 @@ from qcorr import (
     DensityMatrix,
     ParseError,
     PureState,
-    UnsupportedInputError,
     ValidationError,
     binary_entropy,
     density_of,
@@ -354,8 +353,13 @@ class TestSpectraAndEntropies:
     def test_eig_rejects_non_hermitian_raw_array(self):
         with pytest.raises(ValidationError, match="not Hermitian"):
             eig_hermitian(np.array([[0.5, 1e-9], [0.0, 0.5]]))
-        with pytest.raises(ValidationError, match="not Hermitian"):
+        with pytest.raises(ValidationError, match="hermiticity violated"):
             von_neumann_entropy(np.array([[0.5, 1j], [1j, 0.5]]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2), (0, 0)])
+    def test_eig_rejects_a_raw_array_that_is_not_a_square_matrix(self, shape):
+        with pytest.raises(ValidationError, match=r"matrix must be square, got shape \("):
+            eig_hermitian(np.ones(shape))
 
     def test_eig_density_matrix_matches_its_raw_array(self):
         rho = random_mixed_state(3, 4)
@@ -504,7 +508,7 @@ INVALID_INTEGERS = [
 
 
 def _no_allocation(*args, **kwargs):
-    raise AssertionError("an array was allocated before the integer check")
+    raise AssertionError("an array was allocated before the argument check")
 
 
 INTEGER_CONTRACT = [(*argument, kind, make(argument[3], argument[4]))
