@@ -548,22 +548,6 @@ def _dot(x, y):
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
-def _search(objective, keep, values, th, ph):
-    """Two-party grid minimum refined by Nelder-Mead; returns (value, angles).
-
-    values[i, j] holds objective at grid points keep[i] (ascending) and j.
-    Nelder-Mead starts from the first point within TIE_TOL of the minimum
-    and replaces it only when lower by more than TIE_TOL.
-    """
-    i, j = divmod(int(np.flatnonzero(values <= values.min() + TIE_TOL)[0]), values.shape[1])
-    x0 = [float(th[keep[i]]), float(ph[keep[i]]), float(th[j]), float(ph[j])]
-    g_value = float(values[i, j])
-    res = _nelder_mead(objective, x0)
-    if res.fun < g_value - TIE_TOL:
-        return float(res.fun), [float(x) for x in res.x]
-    return g_value, x0
-
-
 def _min_conditional_entropy(rho, slot):
     """Least S(other | measured) over projective measurements of slot; returns (value, basis).
 

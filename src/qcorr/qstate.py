@@ -91,13 +91,27 @@ def _party_labels(labels, n):
     return labels
 
 
+def _complex_array(x, what):
+    """x as a complex array; as in the file readers, an entry that is not an
+    int, float or complex number, such as a bool or a numeric string, raises."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iufc"):
+        x = np.asarray(x, dtype=object)
+        for v in x.flat:
+            if isinstance(v, bool) or not isinstance(v, (int, float, complex, np.number)):
+                raise ValidationError(f"non-numeric {what} entry {v!r}")
+    try:
+        return np.asarray(x, dtype=complex)
+    except OverflowError as exc:
+        raise ValidationError(f"{what} entry out of range: {exc}") from exc
+
+
 class PureState:
     """Normalized amplitude vector of an n-qubit register with party labels."""
 
     __slots__ = ("amplitudes", "labels")
 
     def __init__(self, amplitudes, labels=None):
-        amp = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
+        amp = _complex_array(amplitudes, "amplitude").reshape(-1).copy()
         n = int(amp.size).bit_length() - 1
         if amp.size != 2**n or amp.size < 2:
             raise ValidationError(
@@ -127,7 +141,7 @@ class DensityMatrix:
     __slots__ = ("matrix", "parties")
 
     def __init__(self, matrix, parties=None):
-        m = np.asarray(matrix, dtype=complex).copy()
+        m = _complex_array(matrix, "matrix").copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
         n = int(m.shape[0]).bit_length() - 1
@@ -275,7 +289,7 @@ def eig_hermitian(m) -> Spectrum:
     if isinstance(m, DensityMatrix):
         arr = m.matrix  # checked against HERM_TOL when built, then frozen
     else:
-        arr = np.asarray(m, complex)
+        arr = _complex_array(m, "matrix")
         if arr.ndim != 2 or not arr.shape[0] == arr.shape[1] > 0:
             raise ValidationError(f"matrix must be square, got shape {arr.shape}")
         herm_dev = float(np.abs(arr - arr.conj().T).max())
@@ -290,9 +304,11 @@ def eig_hermitian(m) -> Spectrum:
 
 
 def von_neumann_entropy(rho) -> float:
-    """S(rho) = -sum_i lambda_i log2 lambda_i, in bits, with 0 log 0 = 0; a raw
-    matrix is read as a DensityMatrix."""
-    if not isinstance(rho, DensityMatrix):
+    """S(rho) = -sum_i lambda_i log2 lambda_i, in bits, with 0 log 0 = 0; a
+    PureState is read as its density matrix and a raw matrix as a DensityMatrix."""
+    if isinstance(rho, PureState):
+        rho = density_of(rho)
+    elif not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     return _entropy(np.linalg.eigvalsh(rho.matrix)[::-1])
 
@@ -324,8 +340,10 @@ def relative_entropy(rho, sigma) -> float:
 
     Returns math.inf when the support of rho leaks outside the support of
     sigma (a sigma eigenvalue below 1e-12 carrying rho weight above 1e-9).
-    A raw matrix is read as a DensityMatrix, with the other's parties if it has any.
+    A PureState is read as its density matrix, and a raw matrix as a
+    DensityMatrix, with the other's parties if it has any.
     """
+    rho, sigma = (density_of(x) if isinstance(x, PureState) else x for x in (rho, sigma))
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho, sigma.parties if isinstance(sigma, DensityMatrix) else None)
     if not isinstance(sigma, DensityMatrix):

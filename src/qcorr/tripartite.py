@@ -45,6 +45,7 @@ from .bipartite import (
     _hemisphere,
     _kw_forms,
     _min_conditional_entropy,
+    _nelder_mead,
     _one_to_rest,
     _outcome_entropies,
     _outcome_entropy,
@@ -52,7 +53,6 @@ from .bipartite import (
     _pauli_tensor,
     _pure_state,
     _root_lambdas,
-    _search,
     _wootters,
     concurrence,
     eof_from_concurrence,
@@ -67,9 +67,8 @@ DOUBLE_GRID_DEFAULT = 30
 # states per block of _pure_reports: bounds its stacks, about 1 MB, on a
 # sweep of any length
 _STATE_BLOCK = 256
-# u points per block of the two-angle grid fill: 16 of the default 421 give
-# 0.43 MB of buffers for the float32 screen (1.3 MB for a float64 pass over
-# every row), reused from block to block
+# u points per block of _two_angle_grid: 16 of the default 421 give 0.43 MB
+# of buffers in float32 (0.86 MB in float64), reused from block to block
 _BLOCK_ROWS = 16
 # the float32 screen of the two-angle grid drops a u row only when its least
 # value exceeds the screen's least value by more than this; see
@@ -606,73 +605,30 @@ def _two_angle_objective(r):
     return entropy
 
 
-def _u_sides(r, rows):
-    """(lambda, u row, nu) = (1, +-u).R for every outcome row, in float64."""
-    return (rows @ r.reshape(4, 16)).reshape(len(rows), 4, 4).transpose(2, 0, 1)
-
-
-def _sum_outcomes(w, out):
-    """out[u, v] = the entropies of planes w[lambda, u row, b, v], four outcomes summed."""
-    h = _outcome_entropies(w, 0.25).reshape(-1, 4, out.shape[1])
-    np.add(h[:, 0], h[:, 1], out=out)
-    out += h[:, 2]
-    out += h[:, 3]
-
-
-def _two_angle_values(r, rows, points=None):
-    """_two_angle_objective at pairs of the outcome rows' points, vectorized.
+def _two_angle_grid(r, rows, dtype, points=None):
+    """_two_angle_objective at pairs of the outcome rows' points, in dtype.
 
     Returns the grid rows of the u points in points (all n when None), each
-    against every v point: u on the first axis. The matrix product
-    (1, +-u).R runs over every u row before points selects some, and the v
-    side is contracted elementwise, not by a matrix product, whose rounding
-    at the edges of BLAS tiles would depend on the shape; so no value
-    depends on points or on a row's place in its block. u points are filled
-    _BLOCK_ROWS at a time, into buffers reused from block to block, to bound
-    the memory of one pass.
+    against every v point. Each block of _BLOCK_ROWS u points gets its planes
+    w[lambda, u row, b, v] from one matrix product of its (1, +-u).R rows with
+    the v outcome rows, (1, v) for every v point and then (1, -v), into a
+    buffer reused from block to block.
     """
     n = len(rows) // 2
-    v = rows[0::2, 1:]
-    ur = _u_sides(r, rows)
+    vt = np.concatenate([rows[0::2], rows[1::2]]).T.astype(dtype)
+    ur = (rows @ r.reshape(4, 16)).reshape(len(rows), 4, 4).transpose(2, 0, 1)
     if points is not None:
         ur = ur[:, np.add.outer(2 * np.asarray(points), (0, 1)).ravel()]
-    values = np.empty((ur.shape[1] // 2, n))
-    size = 2 * min(_BLOCK_ROWS, len(values))
-    e_buf = np.empty((4, size, n))
-    # w[lambda, u row, b, v] for the outcomes b = +1, -1 of v
-    w_buf = np.empty((4, size, 2, n))
+    ur = np.ascontiguousarray(ur, dtype=dtype)
+    values = np.empty((ur.shape[1] // 2, n), dtype)
+    w_buf = np.empty((4, 2 * min(_BLOCK_ROWS, len(values)), 2 * n), dtype)
     for lo in range(0, len(values), _BLOCK_ROWS):
-        m = ur[:, 2 * lo:2 * (lo + _BLOCK_ROWS), :, None]
-        e, w = e_buf[:, :m.shape[1]], w_buf[:, :m.shape[1]]
-        c, scratch = m[:, :, 0], w[:, :, 0]
-        np.multiply(m[:, :, 1], v[:, 0], out=e)
-        e += np.multiply(m[:, :, 2], v[:, 1], out=scratch)
-        e += np.multiply(m[:, :, 3], v[:, 2], out=scratch)
-        np.add(c, e, out=w[:, :, 0])
-        np.subtract(c, e, out=w[:, :, 1])
-        _sum_outcomes(w, values[lo:lo + _BLOCK_ROWS])
-    return values
-
-
-def _two_angle_screen(r, rows):
-    """_two_angle_values at every pair of points, in float32, for _screen_rows.
-
-    Each block of u rows gets its planes from one float32 matrix product of
-    its (1, +-u).R rows with the v outcome rows, (1, v) for every v point
-    and then (1, -v), written into a buffer reused from block to block.
-    BLAS rounds that product differently from the float64 pass's
-    elementwise sums; min_double_conditional_entropy bounds the error.
-    """
-    n = len(rows) // 2
-    vt = np.concatenate([rows[0::2], rows[1::2]]).T.astype(np.float32)
-    ur = np.ascontiguousarray(_u_sides(r, rows), dtype=np.float32)
-    values = np.empty((n, n), np.float32)
-    w_buf = np.empty((4, 2 * min(_BLOCK_ROWS, n), 2 * n), np.float32)
-    for lo in range(0, n, _BLOCK_ROWS):
         m = ur[:, 2 * lo:2 * (lo + _BLOCK_ROWS)]
         w = w_buf[:, :m.shape[1]]
         np.matmul(m, vt, out=w)
-        _sum_outcomes(w.reshape(4, -1, 2, n), values[lo:lo + _BLOCK_ROWS])
+        # entropies per (u row, b), then the four outcomes of each u point summed
+        h = _outcome_entropies(w.reshape(4, -1, 2, n), 0.25).reshape(-1, 4, n)
+        h.sum(axis=1, out=values[lo:lo + _BLOCK_ROWS])
     return values
 
 
@@ -707,19 +663,25 @@ def min_double_conditional_entropy(rho, k) -> float:
 
     Each measured party is scanned over the upper half of a 30 x 30
     Bloch-angle grid (421 points), which holds every measurement of the
-    full grid once up to an outcome swap, and Nelder-Mead refines the grid
-    minimum (bipartite._search). For pure global states every product
-    measurement already yields zero.
+    full grid once up to an outcome swap. For pure global states every
+    product measurement already yields zero.
 
-    The grid is first filled in float32 (_two_angle_screen), and only the u
-    rows whose float32 minimum lies within SCREEN_MARGIN of the float32 grid
-    minimum are filled again in float64 and scanned, which gives the dense
-    float64 grid's start: see README "Measurement search".
+    The grid is first filled in float32, and only the u rows whose float32
+    minimum lies within SCREEN_MARGIN of the float32 grid minimum are filled
+    again in float64 (_two_angle_grid both times). Nelder-Mead starts from
+    the first of their cells within TIE_TOL of their minimum, which is the
+    start a float64 fill of every row gives, and replaces the cell's value
+    only when lower by more than TIE_TOL: see README "Measurement search".
     """
     r = _measured_tensor(rho, k, "min_double_conditional_entropy")
     th, ph, rows = _hemisphere(DOUBLE_GRID_DEFAULT, DOUBLE_GRID_DEFAULT)
-    keep = _screen_rows(_two_angle_screen(r, rows))  # freed before the float64 rows exist
-    return _search(_two_angle_objective(r), keep, _two_angle_values(r, rows, keep), th, ph)[0]
+    keep = _screen_rows(_two_angle_grid(r, rows, np.float32))  # freed before the float64 rows exist
+    values = _two_angle_grid(r, rows, np.float64, keep)
+    i, j = divmod(int(np.flatnonzero(values <= values.min() + TIE_TOL)[0]), values.shape[1])
+    x0 = [float(th[keep[i]]), float(ph[keep[i]]), float(th[j]), float(ph[j])]
+    start = float(values[i, j])
+    fun = _nelder_mead(_two_angle_objective(r), x0).fun
+    return float(fun) if fun < start - TIE_TOL else start
 
 
 def total_classical_mixed(rho) -> float:

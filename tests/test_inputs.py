@@ -2,9 +2,11 @@
 
 Every real argument takes an int, a float or a numpy integer or floating
 scalar within 1e-12 of its range; every state argument takes a PureState or
-a DensityMatrix; von_neumann_entropy and relative_entropy read a raw matrix
-as a DensityMatrix. Everything else raises ValidationError, naming the
-argument or the entry point. The integer arguments have their own contract
+a DensityMatrix; von_neumann_entropy and relative_entropy read a PureState
+as its density matrix and a raw matrix as a DensityMatrix; the array
+constructors take ints, floats and complex numbers as entries. Everything
+else raises ValidationError, naming the argument, the entry point or the
+entry. The integer arguments have their own contract
 in test_qstate.py.
 """
 
@@ -28,6 +30,7 @@ from qcorr import (
     density_of,
     discord_directional,
     double_conditional_entropy,
+    eig_hermitian,
     eof_from_concurrence,
     family_ghz_tilde,
     family_w_tilde,
@@ -115,6 +118,16 @@ RAW_ARGUMENTS = [
     ("relative_entropy sigma", lambda m: relative_entropy(MIXED, m)),
 ]
 
+# the array constructors and the name their messages give an entry, with
+# entries that the state-file reader rejects too, each shown as its message
+# shows it
+ARRAY_ARGUMENTS = [("PureState", PureState, "amplitude"),
+                   ("DensityMatrix", DensityMatrix, "matrix"),
+                   ("eig_hermitian", eig_hermitian, "matrix")]
+NON_NUMERIC = [("str", "x", "'x'"), ("numeric str", [["1", "0"], ["0", "1"]], "'1'"),
+               ("bool", [[1, 0], [0, True]], "True"), ("bool array", np.eye(2, dtype=bool), "True"),
+               ("dict", [[{}, 0], [0, 1]], "{}"), ("None", [[None, 0], [0, 1]], "None")]
+
 
 def _contract():
     """(id, call, value, message prefix, whether numpy may run) of each case."""
@@ -134,6 +147,11 @@ def _contract():
     for case, call in RAW_ARGUMENTS:
         for kind, value, invariant in INVALID_MATRICES:
             yield f"{case}-{kind}", call, value, invariant, True
+    for case, call, what in ARRAY_ARGUMENTS:
+        for kind, value, shown in NON_NUMERIC:
+            yield f"{case}-{kind}", call, value, f"non-numeric {what} entry {shown}", True
+        yield (f"{case}-too large", call, [[10**400, 0], [0, 1]],
+               f"{what} entry out of range", True)
 
 
 CONTRACT = list(_contract())
@@ -189,14 +207,19 @@ def test_state_functions_take_a_pure_state():
 def test_raw_matrices_read_as_density_matrices():
     rho = density_of(ghz_state())
     sigma = DensityMatrix(np.eye(8) / 8.0)
-    for m in (rho, np.array(rho.matrix)):
+    for m in (ghz_state(), np.array(rho.matrix)):
         assert von_neumann_entropy(m) == von_neumann_entropy(rho)
     want = relative_entropy(rho, sigma)
     assert relative_entropy(rho.matrix, sigma) == want
     assert relative_entropy(rho, sigma.matrix) == want
     assert relative_entropy(rho.matrix, sigma.matrix) == want
+    # a PureState is read as its density matrix, on either side
+    assert relative_entropy(ghz_state(), sigma) == want
+    assert relative_entropy(sigma, ghz_state()) == relative_entropy(sigma, rho)
     # a raw argument takes the other's parties, so labelled states still compare
     labelled = density_of(ghz_state(labels=["x", "y", "z"]))
     assert relative_entropy(labelled, sigma.matrix) == want
+    assert relative_entropy(sigma.matrix, ghz_state(labels=["x", "y", "z"])) == \
+        relative_entropy(sigma.matrix, labelled)
     with pytest.raises(ValidationError, match="party mismatch"):
         relative_entropy(labelled, sigma)

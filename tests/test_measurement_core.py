@@ -90,7 +90,7 @@ def test_scalar_and_grid_evaluators_agree_on_the_hemisphere():
     for seed, kept in ((5, "a"), (17, "b"), (100, "c")):
         rho = random_mixed_state(3, seed)
         r = tripartite._measured_tensor(rho, kept, "test")
-        grid = tripartite._two_angle_values(r, rows)
+        grid = tripartite._two_angle_grid(r, rows, np.float64)
         scalar = tripartite._two_angle_objective(r)
         # every point once as u and once as v
         worst = max(abs(scalar((th[i], ph[i], th[k], ph[k])) - grid[i, k])

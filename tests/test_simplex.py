@@ -62,16 +62,16 @@ def test_two_angle_runs_equal_scipy(seed, kept, u, v):
 
 @pytest.fixture
 def runs(monkeypatch):
-    """(objective, x0, result) of every bipartite._nelder_mead run in the test."""
+    """(objective, x0, result) of every _nelder_mead run in the test."""
     recorded = []
-    real = bipartite._nelder_mead
+    real = tripartite._nelder_mead
 
     def record(fun, x0):
         res = real(fun, x0)
         recorded.append((fun, tuple(x0), res))
         return res
 
-    monkeypatch.setattr(bipartite, "_nelder_mead", record)
+    monkeypatch.setattr(tripartite, "_nelder_mead", record)
     return recorded
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -475,22 +476,6 @@ class TestDoubleConditional:
                     want = double_conditional_entropy(rho, k, mirrored)
                     assert abs(got - want) < 1e-12
 
-    @pytest.mark.parametrize("seed", [5, 17, 100])
-    def test_grid_values_do_not_depend_on_the_block(self, seed):
-        # the block only bounds the memory of one pass; a value that moved
-        # with a row's place in its block could move the Nelder-Mead start
-        # point. The screened search fills only some u rows in float64, each
-        # at another place in its block than in the dense grid; each must be
-        # the dense grid's row byte for byte
-        r = tripartite._measured_tensor(random_mixed_state(3, seed), "b", "test")
-        rows = tripartite._hemisphere(30, 30)[2]
-        full = tripartite._two_angle_values(r, rows)
-        picks = ([0], [5, 17, 420],
-                 np.random.default_rng(seed).choice(421, 40, replace=False))
-        for points in picks:
-            got = tripartite._two_angle_values(r, rows, points)
-            assert got.tobytes() == full[points].tobytes(), points
-
     def test_known_misses_hold_their_lower_values(self):
         for seed, kept, lower, x in TWO_ANGLE_MISSES:
             bases = (MeasurementBasis(x[0], x[1]), MeasurementBasis(x[2], x[3]))
@@ -669,13 +654,20 @@ def near_pure_mixtures():
             for i, (eps, (a, b)) in enumerate(itertools.product((1e-2, 1e-5, 1e-8), pairs))]
 
 
-class _StartOnly:
-    """Stands in for Nelder-Mead: never improves, so _search returns its start."""
+@pytest.fixture
+def starts(monkeypatch):
+    """x0 of every two-angle search in the test, whose Nelder-Mead never improves.
 
-    fun = math.inf
+    So each search returns the value of its start cell.
+    """
+    recorded = []
 
-    def __init__(self, objective, x0):
-        pass
+    def start_only(objective, x0):
+        recorded.append(x0)
+        return types.SimpleNamespace(fun=math.inf)
+
+    monkeypatch.setattr(tripartite, "_nelder_mead", start_only)
+    return recorded
 
 
 class _DtypeGuard(np.ndarray):
@@ -707,53 +699,73 @@ class TestGridScreen:
     TH, PH, ROWS = tripartite._hemisphere(30, 30)
     ALL = np.arange(len(TH))
 
-    def grids(self, rho, kept):
-        r = tripartite._measured_tensor(rho, kept, "test")
-        dense = tripartite._two_angle_values(r, self.ROWS)
-        screen = tripartite._two_angle_screen(r, self.ROWS)
-        return r, dense, screen
+    def dense_start(self, dense):
+        """(x0, value) of the first cell within TIE_TOL of a full grid's minimum."""
+        i, j = divmod(int(np.flatnonzero(dense <= dense.min() + bipartite.TIE_TOL)[0]),
+                      dense.shape[1])
+        return [self.TH[i], self.PH[i], self.TH[j], self.PH[j]], dense[i, j]
 
-    def check_screen(self, rho, kept):
-        _, dense, screen = self.grids(rho, kept)
+    def check_screen(self, rho, kept, starts):
+        r = tripartite._measured_tensor(rho, kept, "test")
+        dense = tripartite._two_angle_grid(r, self.ROWS, np.float64)
+        screen = tripartite._two_angle_grid(r, self.ROWS, np.float32)
         err = np.abs(screen.astype(np.float64) - dense).max()
         assert err <= tripartite.SCREEN_MARGIN / 10, err
-        # rows the screen keeps hold the dense grid's bytes (tested above)
-        keep = tripartite._screen_rows(screen)
-        got = tripartite._search(None, keep, dense[keep], self.TH, self.PH)
-        assert got == tripartite._search(None, self.ALL, dense, self.TH, self.PH)
-        return keep
+        # the kept rows are filled again by their own matrix products, so a
+        # value may differ from the full fill's in its last bits, but not
+        # the start cell
+        value = min_double_conditional_entropy(rho, kept)
+        x0, want = self.dense_start(dense)
+        assert starts.pop() == x0
+        assert abs(value - want) < 1e-14, value - want
+        return tripartite._screen_rows(screen)
 
-    def test_pool_states_keep_their_search_start(self, monkeypatch):
+    def test_pool_states_keep_their_search_start(self, starts):
         # the 48 mixed_report pool states and its warm-up input 100
-        monkeypatch.setattr(bipartite, "_nelder_mead", _StartOnly)
-        kept_rows = [len(self.check_screen(random_mixed_state(3, seed), kept))
+        kept_rows = [len(self.check_screen(random_mixed_state(3, seed), kept, starts))
                      for seed in list(range(48)) + [100] for kept in "abc"]
         assert max(kept_rows) < 10, kept_rows
 
-    def test_near_pure_mixtures_keep_their_search_start(self, monkeypatch):
-        monkeypatch.setattr(bipartite, "_nelder_mead", _StartOnly)
+    def test_near_pure_mixtures_keep_their_search_start(self, starts):
         for rho, kept in near_pure_mixtures():
-            self.check_screen(rho, kept)
+            self.check_screen(rho, kept, starts)
+
+    def test_exact_zero_landscapes_keep_their_search_start(self, starts):
+        # minima of exactly zero, where the start cell's value itself can be
+        # what the search returns
+        for seed in range(8):
+            self.check_screen(rotated_ccq_state(seed)[0], "c", starts)
+            for kept in "abc":
+                self.check_screen(classical_flag_state(seed)[0], kept, starts)
 
     def test_refined_search_equals_the_dense_grid_search(self):
         # Nelder-Mead included, on the input that stops at maxiter
+        rho = random_mixed_state(3, 100)
         for kept in "abc":
-            r, dense, _ = self.grids(random_mixed_state(3, 100), kept)
-            objective = tripartite._two_angle_objective(r)
-            keep = tripartite._screen_rows(tripartite._two_angle_screen(r, self.ROWS))
-            screened = tripartite._two_angle_values(r, self.ROWS, keep)
-            assert (tripartite._search(objective, keep, screened, self.TH, self.PH)
-                    == tripartite._search(objective, self.ALL, dense, self.TH, self.PH))
+            r = tripartite._measured_tensor(rho, kept, "test")
+            x0, start = self.dense_start(tripartite._two_angle_grid(r, self.ROWS, np.float64))
+            fun = tripartite._nelder_mead(tripartite._two_angle_objective(r), x0).fun
+            want = fun if fun < start - bipartite.TIE_TOL else start
+            assert min_double_conditional_entropy(rho, kept) == want
 
-    def test_flat_landscape_keeps_every_row(self, monkeypatch):
-        monkeypatch.setattr(bipartite, "_nelder_mead", _StartOnly)
+    @pytest.mark.parametrize("drop, replaced", [(0.5, False), (2.0, True)])
+    def test_refinement_replaces_the_start_only_beyond_tie_tol(self, starts, monkeypatch,
+                                                               drop, replaced):
+        rho = random_mixed_state(3, 5)
+        start = min_double_conditional_entropy(rho, "a")
+        lower = start - drop * bipartite.TIE_TOL
+        monkeypatch.setattr(tripartite, "_nelder_mead",
+                            lambda objective, x0: types.SimpleNamespace(fun=lower))
+        assert min_double_conditional_entropy(rho, "a") == (lower if replaced else start)
+
+    def test_flat_landscape_keeps_every_row(self, starts):
         flat = DensityMatrix(np.eye(8) / 8.0, ("a", "b", "c"))
         r = tripartite._measured_tensor(flat, "c", "test")
-        keep = tripartite._screen_rows(tripartite._two_angle_screen(r, self.ROWS))
+        keep = tripartite._screen_rows(tripartite._two_angle_grid(r, self.ROWS, np.float32))
         assert keep.tolist() == self.ALL.tolist()
-        values = tripartite._two_angle_values(r, self.ROWS, keep)
-        start = tripartite._search(None, keep, values, self.TH, self.PH)
-        assert start == (values[0, 0], [0.0] * 4)
+        value = min_double_conditional_entropy(flat, "c")
+        assert (starts, value) == ([[0.0] * 4],
+                                   tripartite._two_angle_grid(r, self.ROWS, np.float64)[0, 0])
 
     def test_nan_row_is_kept(self):
         rough = np.random.default_rng(0).random((421, 421), dtype=np.float32)
@@ -765,8 +777,8 @@ class TestGridScreen:
     @pytest.mark.parametrize("dtype, points", [(np.float32, None), (np.float64, [3, 200])])
     def test_each_pass_computes_in_its_own_dtype(self, monkeypatch, dtype, points):
         # the screen must stay float32 throughout, or it is no faster; every
-        # buffer the fill allocates, the screen's matmul output included,
-        # checks the operands of each ufunc on it
+        # buffer the fill allocates, the matmul output included, checks the
+        # operands of each ufunc on it
         class GuardedNumpy:
             def __getattr__(self, name):
                 return getattr(np, name)
@@ -778,24 +790,21 @@ class TestGridScreen:
         monkeypatch.setattr(_DtypeGuard, "expected", np.dtype(dtype))
         monkeypatch.setattr(_DtypeGuard, "checked", 0)
         r = tripartite._measured_tensor(random_mixed_state(3, 5), "a", "test")
-        if dtype == np.float32:
-            got = tripartite._two_angle_screen(r, self.ROWS)
-        else:
-            got = tripartite._two_angle_values(r, self.ROWS, points)
+        got = tripartite._two_angle_grid(r, self.ROWS, dtype, points)
         assert got.dtype == dtype and _DtypeGuard.checked > 20
 
     def test_screen_is_float32_and_exact_pass_float64(self, monkeypatch):
         calls = []
-        for name in ("_two_angle_screen", "_two_angle_values"):
-            def recorded(*args, fill=getattr(tripartite, name), name=name):
-                values = fill(*args)
-                calls.append((name, values.dtype))
-                return values
+        real = tripartite._two_angle_grid
 
-            monkeypatch.setattr(tripartite, name, recorded)
+        def recorded(r, rows, dtype, points=None):
+            values = real(r, rows, dtype, points)
+            calls.append((values.dtype, points is None))
+            return values
+
+        monkeypatch.setattr(tripartite, "_two_angle_grid", recorded)
         min_double_conditional_entropy(random_mixed_state(3, 5), "a")
-        assert calls == [("_two_angle_screen", np.float32),
-                         ("_two_angle_values", np.float64)]
+        assert calls == [(np.float32, True), (np.float64, False)]
 
 
 def stacked_pass_states():
