@@ -335,16 +335,6 @@ def _party_slot(rho, party):
     return rho.parties.index(party)
 
 
-def _normalize_angles(theta, phi):
-    # (theta, phi) and (2*pi - theta, phi + pi) describe the same vector up
-    # to phase; fold theta into [0, pi] first, then phi into [0, 2*pi).
-    theta = theta % (2.0 * math.pi)
-    if theta > math.pi:
-        theta = 2.0 * math.pi - theta
-        phi = phi + math.pi
-    return theta, phi % (2.0 * math.pi)
-
-
 @functools.lru_cache(maxsize=2)
 def _hemisphere(n_theta, n_phi):
     """(theta, phi, outcome rows) of the upper half of a theta-major angle grid.
@@ -562,8 +552,8 @@ def _min_conditional_entropy(rho, slot):
     x, y, z = _minimize(_sphere_descent, fun, u0, _DESCENT_OPTIONS).x
     if z < 0.0:  # -u is the same measurement, its outcomes swapped
         x, y, z = -x, -y, -z
-    basis = MeasurementBasis(*_normalize_angles(math.atan2(math.hypot(x, y), z),
-                                                math.atan2(y, x)))
+    basis = MeasurementBasis(math.atan2(math.hypot(x, y), z),  # in [0, pi/2]
+                             math.atan2(y, x) % (2.0 * math.pi))
     return fun(_bloch_xyz(basis.theta, basis.phi)), basis
 
 

@@ -116,26 +116,19 @@ def named_state(token: str):
             values = [float(x) for x in arg.split(",")]
         except ValueError:
             raise ValidationError(f"malformed acin coefficients {arg!r}")
-        if len(values) == 5:
-            values.append(0.0)
-        if len(values) != 6:
+        if len(values) not in (5, 6):
             raise ValidationError(
                 f"acin takes 5 coefficients plus optional theta, got {len(values)}"
             )
-        form = tripartite.AcinForm(*values[:5], theta=values[5])
-        return tripartite.acin_state(form)
+        return tripartite.acin_state(tripartite.AcinForm(*values))
     return None
 
 
 def _fmt(value):
-    if value is None:
-        return "n/a"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        # + 0.0 keeps noise-level negatives from printing as -0.000000
-        return f"{round(value, 6) + 0.0:.6f}"
-    return str(value)
+    # + 0.0 keeps noise-level negatives from printing as -0.000000
+    return f"{round(value, 6) + 0.0:.6f}"
 
 
 def _json_dumps(obj) -> str:
@@ -157,15 +150,8 @@ def _write_text(path, text):
         raise
 
 
-def _load_analyze_state(token):
-    state = named_state(token)
-    if state is not None:
-        return state
-    return qstate.load_state(token)
-
-
 def cmd_analyze(args) -> int:
-    state = _load_analyze_state(args.state)
+    state = named_state(args.state) or qstate.load_state(args.state)
     report = tripartite.correlation_report(state)
     if args.dump_reductions:
         _dump_reductions(state, args.dump_reductions)

@@ -92,11 +92,14 @@ def _party_labels(labels, n):
 
 
 def _complex_array(x, what):
-    """x as a complex array; as in the file readers, an entry that is not an
-    int, float or complex number, such as a bool or a numeric string, raises."""
+    """x as a complex array; an entry that is not an int, float or complex number,
+    such as a bool or a numeric string, raises, and so do ragged nested lists."""
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "iufc"):
         x = np.asarray(x, dtype=object)
         for v in x.flat:
+            if isinstance(v, (list, tuple)) or getattr(v, "ndim", 0):  # ragged below here
+                raise ValidationError(f"ragged {what} array: shape {x.shape} "
+                                      "plus an inhomogeneous part")
             if isinstance(v, bool) or not isinstance(v, (int, float, complex, np.number)):
                 raise ValidationError(f"non-numeric {what} entry {v!r}")
     try:
@@ -392,23 +395,12 @@ def _decode_json(text):
         raise ParseError(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
 
 
-def _leaves(raw):
-    return [y for x in raw for y in _leaves(x)] if isinstance(raw, list) else [raw]
-
-
-def _float_array(raw, what):
-    # numpy reads "1" and true as numbers; null becomes nan, rejected below
-    for x in _leaves(raw):
-        if x is not None and type(x) not in (int, float):
-            raise ValidationError(f"non-numeric {what} entry {x!r}")
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"non-numeric {what} entry: {exc}") from exc
-    # json reads NaN and Infinity, and numpy turns null into nan
-    if not np.isfinite(arr).all():
+def _pair_array(raw, what):
+    """_complex_array of a file's [re, im] pairs; json's NaN and Infinity raise."""
+    pairs = _complex_array(raw, what)
+    if not np.isfinite(pairs).all():
         raise ValidationError(f"non-finite {what} entry")
-    return arr
+    return pairs
 
 
 def _to_pairs(values):
@@ -438,16 +430,15 @@ def parse_state_json(text: str) -> PureState:
         raise ValidationError(
             f"amplitudes must be a list of {2**n} [re, im] pairs"
         )
-    pairs = _float_array(raw, "amplitude")
+    pairs = _pair_array(raw, "amplitude")
     if pairs.shape != (2**n, 2):
         raise ValidationError(f"amplitudes must have shape ({2**n}, 2)")
     amp = pairs[:, 0] + 1j * pairs[:, 1]
     norm = float(np.linalg.norm(amp))
     if abs(norm - 1.0) > FILE_NORM_TOL:
         raise ValidationError(f"state file norm {norm!r} deviates from 1 beyond 1e-8")
-    if data["labels"] is None:  # the constructor would give null the default labels
-        raise ValidationError("party labels None are not a list")
-    return PureState(amp / norm, data["labels"])
+    # _label_list rejects null, which the constructor reads as the default labels
+    return PureState(amp / norm, _label_list(data["labels"]))
 
 
 def load_state(path) -> PureState:
@@ -475,14 +466,13 @@ def parse_matrix_json(text: str) -> DensityMatrix:
     data = _decode_json(text)
     if not isinstance(data, dict) or "matrix" not in data:
         raise ValidationError("matrix file must be a JSON object with a matrix field")
-    arr = _float_array(data["matrix"], "matrix")
+    arr = _pair_array(data["matrix"], "matrix")
     if arr.shape != (4, 4, 2):
         raise ValidationError(
             f"matrix must be 4x4 entries of [re, im] pairs, got shape {arr.shape}"
         )
-    parties = data.get("parties", ["a", "b"])
-    if parties is None:  # null, unlike a missing key, is not a list of names
-        raise ValidationError("party labels None are not a list")
+    # null, unlike a missing key, is not a list of names
+    parties = _label_list(data.get("parties", ["a", "b"]))
     return DensityMatrix(arr[..., 0] + 1j * arr[..., 1], parties)
 
 

@@ -317,20 +317,21 @@ def _run_samples(checks, margins_of, n_samples, seed, n_qubits, states):
     """Aggregate margins_of(psi, sub_seed) -> {check: margin} over the samples.
 
     Sample i is states[i] while states last, else the Haar state of its
-    sub-seed. A sample whose margins_of raises counts as one numerics
-    violation and adds to no other check.
+    sub-seed; more states than samples raises. A sample whose margins_of
+    raises counts as one numerics violation and adds to no other check.
     """
-    if states is not None and not (isinstance(states, (list, tuple))
-                                   and all(isinstance(psi, PureState) for psi in states)):
+    if states is None:
+        states = ()
+    elif not (isinstance(states, (list, tuple))
+              and all(isinstance(psi, PureState) for psi in states)):
         raise ValidationError("states must be a list or tuple of PureState")
+    if len(states) > n_samples:
+        raise ValidationError(f"{len(states)} states given for {n_samples} samples")
     started = time.monotonic()
     acc = {name: _Accumulator(name, tol) for name, tol in checks}
     for index in range(n_samples):
         s_i = sub_seed(seed, index)
-        if states is not None and index < len(states):
-            psi = states[index]
-        else:
-            psi = haar_random_pure(n_qubits, s_i)
+        psi = states[index] if index < len(states) else haar_random_pure(n_qubits, s_i)
         try:
             margins = margins_of(psi, s_i)
         except Exception:
@@ -351,9 +352,9 @@ def run_suite(n_samples: int, seed: int, n_qubits: int = 3,
               states=None) -> ViolationReport:
     """Check every identity on n_samples Haar-random pure states.
 
-    states, when given, is a list or tuple of PureState objects substituted
-    for the first len(states) samples (used to pin known states into the run).
-    Deterministic for fixed arguments.
+    states, when given, is a list or tuple of at most n_samples PureState
+    objects substituted for the first len(states) samples (used to pin known
+    states into the run). Deterministic for fixed arguments.
     """
     n_samples = _int_arg(n_samples, "n_samples", 1)
     n_qubits = _int_arg(n_qubits, "n_qubits", 3, 6)
@@ -371,7 +372,8 @@ def oracle_crosscheck(n_samples: int, seed: int, states=None) -> ViolationReport
     For each sampled pure three-qubit state and each ordered party pair,
     the measurement-search values of the directional classical
     correlation and discord are compared with the conditional-entropy
-    closed forms; a gap above 1e-3 counts as a violation.
+    closed forms; a gap above 1e-3 counts as a violation. states, as in
+    run_suite, pins at most n_samples three-qubit states into the run.
     """
     def margins_of(psi, _):
         s1, pair_rho, pair_i, _ = _entropies_and_pairs(density_of(psi))

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from qcorr import (
+    InternalInvariantError,
+    PropertyCheck,
+    ViolationReport,
     bipartite,
     density_of,
     find_discord_crossover,
@@ -18,6 +21,7 @@ from qcorr import (
     state_to_json,
     sweep_families,
     tripartite,
+    verify,
     w_state,
 )
 from qcorr.cli import main
@@ -135,6 +139,28 @@ class TestAnalyze:
         code, _, err = run_main(capsys, "analyze", "acin:0.5,0.5")
         assert code == 1
         assert "sum" in err or "coefficient" in err
+
+    @pytest.mark.parametrize("token, message", [
+        ("ghz_tilde:p=abc", "malformed family parameter 'p=abc'"),
+        ("acin", "acin needs coefficients, e.g. acin:0.7,0.1,0.1,0.1,0.69"),
+        ("acin:", "malformed acin coefficients ''"),
+        ("acin:0.7,x,0.1,0.1,0.69", "malformed acin coefficients '0.7,x,0.1,0.1,0.69'"),
+        ("acin:0.5,0.5,0.5,0.5", "acin takes 5 coefficients plus optional theta, got 4"),
+        ("acin:0.7,0.1,0.1,0.1,0.69,0,0",
+         "acin takes 5 coefficients plus optional theta, got 7"),
+    ])
+    def test_malformed_tokens(self, capsys, token, message):
+        code, out, err = run_main(capsys, "analyze", token)
+        assert (code, out, err) == (1, "", f"qcorr: {message}\n")
+
+    def test_internal_invariant_failure_exit_code(self, capsys, monkeypatch):
+        def failing(state):
+            raise InternalInvariantError("T -1.0 below -1e-9")
+
+        monkeypatch.setattr(tripartite, "correlation_report", failing)
+        code, out, err = run_main(capsys, "analyze", "ghz")
+        assert (code, out) == (3, "")
+        assert err == "qcorr: internal invariant failure: T -1.0 below -1e-9\n"
 
     def test_malformed_state_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -345,6 +371,15 @@ class TestVerify:
         for name, check in by_name.items():
             if name != "discord_dominance":
                 assert check["count_violated"] == 0, name
+
+    def test_failing_run_table(self, capsys, monkeypatch):
+        checks = (PropertyCheck("monogamy", 1e-9, 3, 2, 0.5, 7),
+                  PropertyCheck("numerics", 0.0, 3, 1, 1.0, 9))
+        failing = ViolationReport(seed=0, n_samples=3, checks=checks, elapsed=0.0)
+        monkeypatch.setattr(verify, "run_suite", lambda *args: failing)
+        code, out, _ = run_main(capsys, "verify", "--samples", "3")
+        assert code == 4
+        assert out.splitlines()[-1] == "samples = 3, seed = 0: FAIL (3 violations)"
 
     def test_oracle_merges_checks(self, capsys):
         code, out, _ = run_main(capsys, "verify", "--samples", "5", "--seed",

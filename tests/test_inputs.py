@@ -152,6 +152,8 @@ def _contract():
             yield f"{case}-{kind}", call, value, f"non-numeric {what} entry {shown}", True
         yield (f"{case}-too large", call, [[10**400, 0], [0, 1]],
                f"{what} entry out of range", True)
+        yield (f"{case}-ragged", call, [[1, 0], [0, 1, 0]],
+               f"ragged {what} array: shape (2,) plus an inhomogeneous part", True)
 
 
 CONTRACT = list(_contract())

@@ -99,6 +99,13 @@ class TestDensityMatrix:
         assert rho.parties == ("a", "b")
         assert rho.matrix.shape == (4, 4)
 
+    def test_immutable(self):
+        rho = density_of(PureState(bell_vec()))
+        with pytest.raises(AttributeError, match="DensityMatrix is immutable"):
+            rho.parties = ("x", "y")
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+
     def test_hermiticity_named(self):
         m = np.eye(4, dtype=complex)
         m[0, 1] = 0.5
@@ -541,6 +548,55 @@ def test_integral_values_of_any_type_pass():
     assert oracle_crosscheck(np.int64(1), 2.0).to_dict() == oracle_crosscheck(1, 2).to_dict()
 
 
+def _state_file(amplitudes, labels=("a",)):
+    """A one-qubit state file."""
+    return json.dumps({"n": 1, "labels": labels, "amplitudes": amplitudes})
+
+
+def _matrix_file(entry=(0.25, 0.0), parties=("a", "b")):
+    """The file of the maximally mixed two-qubit matrix, its first entry replaced."""
+    rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    rows[0][0] = list(entry)
+    return json.dumps({"parties": parties, "matrix": rows})
+
+
+# (id, reader, file text, whole message) of files that each reader rejects;
+# the entries that the constructors' rule rejects run through both readers
+READER_REJECTIONS = [
+    ("not an object", parse_state_json, "[1, 2]", "state file must be a JSON object"),
+    ("missing keys", parse_state_json, '{"n": 1}',
+     "state file missing keys: ['labels', 'amplitudes']"),
+    ("wrong length", parse_state_json, _state_file([[1, 0]]),
+     "amplitudes must be a list of 2 [re, im] pairs"),
+    ("not pairs", parse_state_json, _state_file([[1, 0, 0], [0, 0, 0]]),
+     "amplitudes must have shape (2, 2)"),
+    ("no matrix", parse_matrix_json, '{"parties": ["a", "b"]}',
+     "matrix file must be a JSON object with a matrix field"),
+]
+for kind, bad, message in (("null", None, "non-numeric {} entry None"),
+                           ("NaN", math.nan, "non-finite {} entry"),
+                           ("Infinity", math.inf, "non-finite {} entry"),
+                           ("-Infinity", -math.inf, "non-finite {} entry"),
+                           ("400 digits", 10**400,
+                            "{} entry out of range: int too large to convert to float")):
+    READER_REJECTIONS += [
+        (f"state {kind}", parse_state_json, _state_file([[1, 0], [bad, 0]]),
+         message.format("amplitude")),
+        (f"matrix {kind}", parse_matrix_json, _matrix_file(entry=(bad, 0.0)),
+         message.format("matrix")),
+    ]
+READER_REJECTIONS += [
+    ("state ragged", parse_state_json, _state_file([[1, 0], [0, 0, 0]]),
+     "ragged amplitude array: shape (2,) plus an inhomogeneous part"),
+    ("matrix ragged", parse_matrix_json, _matrix_file(entry=(0.25, 0.0, 0.0)),
+     "ragged matrix array: shape (4, 4) plus an inhomogeneous part"),
+    ("state null labels", parse_state_json, _state_file([[1, 0], [0, 0]], labels=None),
+     "party labels None are not a list"),
+    ("matrix null parties", parse_matrix_json, _matrix_file(parties=None),
+     "party labels None are not a list"),
+]
+
+
 class TestStateSerialization:
     def test_round_trip(self):
         psi = haar_random_pure(3, 11)
@@ -587,17 +643,19 @@ class TestStateSerialization:
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
     def test_non_finite_entries_rejected(self):
-        # null becomes nan in numpy; NaN and Infinity are json.loads literals
-        for bad in ("null", "NaN", "Infinity"):
+        # NaN and Infinity are json.loads literals; null is no number at all
+        for bad, message in (("null", "non-numeric {} entry None"),
+                             ("NaN", "non-finite {} entry"),
+                             ("Infinity", "non-finite {} entry")):
             blob = ('{"n": 1, "labels": ["a"], "amplitudes": [[1, 0], [%s, 0]]}'
                     % bad)
             with pytest.raises(ValidationError,
-                               match="non-finite amplitude entry"):
+                               match=message.format("amplitude")):
                 parse_state_json(blob)
             rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)]
                     for i in range(4)]
             blob = json.dumps({"matrix": rows}).replace("0.25", bad, 1)
-            with pytest.raises(ValidationError, match="non-finite matrix entry"):
+            with pytest.raises(ValidationError, match=message.format("matrix")):
                 parse_matrix_json(blob)
 
     @pytest.mark.parametrize("bad", ['"1"', '" 0.25 "', "true", "false", '{"re": 1}'])
@@ -614,8 +672,15 @@ class TestStateSerialization:
 
     def test_integer_too_large_for_a_float_rejected(self):
         blob = '{"n": 1, "labels": ["a"], "amplitudes": [[1, 0], [%s, 0]]}' % ("9" * 400)
-        with pytest.raises(ValidationError, match="non-numeric amplitude entry"):
+        with pytest.raises(ValidationError, match="amplitude entry out of range"):
             parse_state_json(blob)
+
+    @pytest.mark.parametrize("call, text, message", [case[1:] for case in READER_REJECTIONS],
+                             ids=[case[0] for case in READER_REJECTIONS])
+    def test_reader_rejections(self, call, text, message):
+        with pytest.raises(ValidationError) as exc:
+            call(text)
+        assert str(exc.value) == message
 
     def test_load_state_missing_file(self, tmp_path):
         with pytest.raises(OSError):

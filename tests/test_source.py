@@ -41,6 +41,17 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def test_exports_are_the_imports():
+    # __init__.py lists each public name twice: in its imports and in __all__
+    tree = ast.parse((ROOT / "src" / "qcorr" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"]
+    assert len(set(exported)) == len(exported)
+    assert sorted(imported) == sorted(exported)
+
+
 @pytest.fixture
 def worker(monkeypatch):
     """perfbench/worker.py, whose modules import each other by bare name."""

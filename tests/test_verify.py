@@ -210,6 +210,12 @@ class TestRunSuite:
         with pytest.raises(ValidationError, match="states must be a list or tuple of PureState"):
             run(2, 0, states=states)
 
+    @pytest.mark.parametrize("run", [run_suite, oracle_crosscheck])
+    def test_more_states_than_samples_rejected(self, run):
+        # the W state would be dropped unchecked
+        with pytest.raises(ValidationError, match="^2 states given for 1 samples$"):
+            run(1, 0, states=[ghz_state(), w_state()])
+
     def test_deterministic_serialization(self):
         d1 = run_suite(15, 9).to_dict()
         d2 = run_suite(15, 9).to_dict()
